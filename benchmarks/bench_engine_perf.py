@@ -55,23 +55,6 @@ def test_explorer_state_throughput_reference(benchmark):
     assert not result.oscillates
 
 
-def test_compiled_replay_throughput(benchmark):
-    """The compiled Def. 2.3 step on a fixed recorded schedule."""
-    from repro.engine.compiled import replay_schedule
-
-    instance = fig6_gadget()
-    scheduler = RandomScheduler(instance, model("UMS"), seed=1, drop_prob=0.3)
-    execution = Execution(instance)
-    schedule = []
-    for _ in range(1000):
-        entry = scheduler.next_entry(execution.state)
-        schedule.append(entry)
-        execution.step(entry)
-
-    states = benchmark(replay_schedule, instance, schedule)
-    assert states == execution.trace.states
-
-
 def test_matrix_certification_speed(benchmark):
     """All 24 models certified on DISAGREE — the matrix cross-check."""
     from repro.analysis.experiments import (

@@ -2,16 +2,15 @@
 ``BENCH_matrix.json``.
 
 Runs the engine-throughput workloads that gate performance work (the
-fig6/REA explorer search, the Def. 2.3 step loop, and the 24-model
-matrix certification) under both execution cores and records absolute
-numbers plus the compiled-over-reference speedups::
+fig6/REA explorer search and the 24-model matrix certification) and
+records absolute numbers plus the speedups over the reference engine::
 
     PYTHONPATH=src python benchmarks/perf_regression.py \
         [--out BENCH_engine.json] [--matrix-out BENCH_matrix.json]
 
 ``BENCH_engine.json`` pins the compiled-over-reference comparison on
-the *unreduced* search (the PR-1 workload, unchanged for continuity);
-``speedup.explorer_states`` must stay ≥ 3×.
+the *unreduced* search (the first engine workload, unchanged for
+continuity); ``speedup.explorer_states`` must stay ≥ 3×.
 
 ``BENCH_matrix.json`` pins the partial-order reducer, the verdict
 cache, and the packed engine on the matrix workload — the 24-model
@@ -20,10 +19,11 @@ what the reducer exists for (DISAGREE is recorded alongside but is too
 small to gate on).  Five numbers are gated: the cold reduction speedup
 (reduced vs unreduced search, ≥ 3×), the warm cache speedup (second
 run against a populated cache, ≥ 20×), the packed-engine cold speedup
-(``engine="packed"`` vs the compiled cold reduced certification,
-≥ 10×, with every state/pruned/complete count bit-identical), the
-packed stdlib speedup (same workload with ``REPRO_NO_NUMPY=1``, ≥ 3×),
-and the telemetry overhead (the ``repro.obs``
+(``engine="packed"`` vs the reference cold reduced certification,
+≥ :data:`MIN_PACKED_SPEEDUP`, with every state/pruned/complete count
+bit-identical), the packed stdlib speedup (same workload with
+``REPRO_NO_NUMPY=1``, ≥ :data:`MIN_PACKED_STDLIB_SPEEDUP`), and the
+telemetry overhead (the ``repro.obs``
 instrumentation enabled vs disabled on the cold reduced certification,
 ≤ 5% — its span-level breakdown is recorded under ``"telemetry"``;
 ``--telemetry-only``/``--telemetry-out`` run just this gate for the CI
@@ -53,17 +53,24 @@ from repro import obs
 from repro.analysis.experiments import matrix_certification
 from repro.config import RunConfig
 from repro.core.instances import fig6_gadget, fig7_gadget
-from repro.engine.compiled import replay_schedule
-from repro.engine.execution import Execution
 from repro.engine.explorer import Explorer
-from repro.engine.schedulers import RandomScheduler
 from repro.models.taxonomy import model
 
 MIN_EXPLORER_SPEEDUP = 3.0
 MIN_REDUCTION_SPEEDUP = 3.0
 MIN_WARM_CACHE_SPEEDUP = 20.0
-MIN_PACKED_SPEEDUP = 10.0
-MIN_PACKED_STDLIB_SPEEDUP = 3.0
+
+#: Reference-over-compiled speedup of the cold reduced Fig. 7
+#: certification, measured when ``engine="compiled"`` still had a search
+#: loop of its own (best of two interleaved runs each on a 2-core x86-64
+#: VM, Python 3.11: reference 164.4 s, compiled 22.2 s).  The packed
+#: gates used to be "packed ≥ 10× and stdlib packed ≥ 3× over that
+#: compiled loop"; compiled now runs the packed loop, so the gates
+#: compare against the reference engine and scale by this ratio, which
+#: keeps them as strict as before.
+REFERENCE_OVER_OLD_COMPILED = 7.4
+MIN_PACKED_SPEEDUP = round(10.0 * REFERENCE_OVER_OLD_COMPILED, 2)
+MIN_PACKED_STDLIB_SPEEDUP = round(3.0 * REFERENCE_OVER_OLD_COMPILED, 2)
 MAX_TELEMETRY_OVERHEAD_PCT = 5.0
 MAX_FAULTS_OVERHEAD_PCT = 2.0
 
@@ -116,28 +123,6 @@ def bench_explorer(engine: str, runs: int = 3) -> dict:
     }
 
 
-def bench_steps(runs: int = 3) -> dict:
-    instance = fig6_gadget()
-    scheduler = RandomScheduler(instance, model("UMS"), seed=1, drop_prob=0.3)
-    execution = Execution(instance)
-    schedule = []
-    for _ in range(1000):
-        entry = scheduler.next_entry(execution.state)
-        schedule.append(entry)
-        execution.step(entry)
-
-    ref_seconds, _ = _best_of(runs, lambda: Execution(instance).run(schedule))
-    cmp_seconds, states = _best_of(
-        runs, lambda: replay_schedule(instance, schedule)
-    )
-    assert states == execution.trace.states
-    return {
-        "steps": len(schedule),
-        "reference_steps_per_sec": round(len(schedule) / ref_seconds, 1),
-        "compiled_steps_per_sec": round(len(schedule) / cmp_seconds, 1),
-    }
-
-
 def bench_matrix(runs: int = 3) -> dict:
     seconds, cert = _best_of(
         runs,
@@ -174,6 +159,22 @@ def _timed_certification(
     }
 
 
+def _best_cold(instance, engine: str, runs: int = 3) -> dict:
+    """The fastest of ``runs`` cold reduced certifications, each against
+    a fresh cache.  A packed certification takes under two seconds,
+    where a transient stall on a shared machine moves a single run by
+    tens of percent."""
+    best = None
+    for _ in range(runs):
+        with tempfile.TemporaryDirectory() as cache_dir:
+            entry = _timed_certification(
+                instance, "ample", cache_dir=cache_dir, engine=engine
+            )
+        if best is None or entry["_raw_seconds"] < best["_raw_seconds"]:
+            best = entry
+    return best
+
+
 def _strip(entry: dict) -> dict:
     return {k: v for k, v in entry.items() if not k.startswith("_")}
 
@@ -181,8 +182,10 @@ def _strip(entry: dict) -> dict:
 def bench_matrix_workload() -> dict:
     """The reducer/cache gates: 24-model certification of Fig. 7.
 
-    Single-shot timings (the unreduced baseline alone runs for minutes;
-    best-of-N would triple that for no extra signal on 10×-class gaps).
+    Single-shot timings (the reference certification alone runs for
+    minutes; best-of-N would triple that for no extra signal on
+    10×-class gaps), except the packed cold runs, which take the best of
+    three (see :func:`_best_cold`).
     """
     fig7 = fig7_gadget()
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -196,27 +199,32 @@ def bench_matrix_workload() -> dict:
     assert warm["states"] == cold["states"]
     assert cold["complete"] >= unreduced["complete"]  # monotone coverage
 
+    # The reference engine on the same certification: the denominator
+    # of the packed gates, and bit-identical to compiled by contract.
+    with tempfile.TemporaryDirectory() as reference_cache:
+        reference = _timed_certification(
+            fig7, "ample", cache_dir=reference_cache, engine="reference"
+        )
+
     # The packed engine on the same certification: cold against a fresh
-    # cache, warm against the store the cold run populated (cache keys
-    # carry no engine tag, so packed and compiled share entries), and
-    # cold again with the numpy/scipy path disabled.  Fig. 7's
-    # automorphism group is trivial, so every count must be
-    # bit-identical to the compiled cold run, not merely the verdicts.
+    # cache, warm against a store a cold run populated, and cold again
+    # with the numpy/scipy path disabled.  Fig. 7's automorphism group
+    # is trivial, so every count must be bit-identical to the compiled
+    # cold run, not merely the verdicts.
     import os
 
+    packed_cold = _best_cold(fig7, "packed")
     with tempfile.TemporaryDirectory() as packed_cache:
-        packed_cold = _timed_certification(
-            fig7, "ample", cache_dir=packed_cache, engine="packed"
-        )
+        _timed_certification(fig7, "ample", cache_dir=packed_cache, engine="packed")
         packed_warm = _timed_certification(
             fig7, "ample", cache_dir=packed_cache, engine="packed"
         )
     os.environ["REPRO_NO_NUMPY"] = "1"
     try:
-        packed_stdlib = _timed_certification(fig7, "ample", engine="packed")
+        packed_stdlib = _best_cold(fig7, "packed")
     finally:
         del os.environ["REPRO_NO_NUMPY"]
-    for packed_run in (packed_cold, packed_warm, packed_stdlib):
+    for packed_run in (reference, packed_cold, packed_warm, packed_stdlib):
         assert packed_run["verdicts"] == cold["verdicts"]
         assert packed_run["states"] == cold["states"]
         assert packed_run["pruned"] == cold["pruned"]
@@ -234,10 +242,10 @@ def bench_matrix_workload() -> dict:
     )
     warm_cache_speedup = round(cold["_raw_seconds"] / warm["_raw_seconds"], 2)
     packed_speedup = round(
-        cold["_raw_seconds"] / packed_cold["_raw_seconds"], 2
+        reference["_raw_seconds"] / packed_cold["_raw_seconds"], 2
     )
     packed_stdlib_speedup = round(
-        cold["_raw_seconds"] / packed_stdlib["_raw_seconds"], 2
+        reference["_raw_seconds"] / packed_stdlib["_raw_seconds"], 2
     )
     packed_warm_speedup = round(
         packed_cold["_raw_seconds"] / packed_warm["_raw_seconds"], 2
@@ -245,12 +253,13 @@ def bench_matrix_workload() -> dict:
     return {
         "workload": "fig7_gadget all 24 models queue_bound=2 "
         "(reduced vs unreduced, cold vs warm cache, packed vs "
-        "compiled); DISAGREE recorded for context",
+        "reference); DISAGREE recorded for context",
         "python": platform.python_version(),
         "fig7": {
             "unreduced": _strip(unreduced),
             "cold_reduced": _strip(cold),
             "warm_cache": _strip(warm),
+            "reference_cold": _strip(reference),
             "packed_cold": _strip(packed_cold),
             "packed_warm": _strip(packed_warm),
             "packed_cold_stdlib": _strip(packed_stdlib),
@@ -266,6 +275,8 @@ def bench_matrix_workload() -> dict:
             "packed_cold_stdlib": packed_stdlib_speedup,
             "packed_warm": packed_warm_speedup,
         },
+        "min_packed_speedup": MIN_PACKED_SPEEDUP,
+        "min_packed_stdlib_speedup": MIN_PACKED_STDLIB_SPEEDUP,
         "passes_min_reduction_speedup": (
             reduction_speedup >= MIN_REDUCTION_SPEEDUP
         ),
@@ -280,14 +291,18 @@ def bench_matrix_workload() -> dict:
 
 
 def bench_telemetry_overhead(
-    telemetry_out: "Path | None" = None, runs: int = 2
+    telemetry_out: "Path | None" = None, runs: int = 10
 ) -> dict:
     """The observability gate: instrumentation must stay below
     :data:`MAX_TELEMETRY_OVERHEAD_PCT` on the cold reduced Fig. 7
     certification (the longest single-process search in the suite, so
     per-state costs have nowhere to hide).  Disabled and enabled runs
     are *interleaved* (off/on pairs, best of each) so slow machine
-    drift cancels instead of biasing whichever side runs last.
+    drift cancels instead of biasing whichever side runs last.  One
+    certification takes under two seconds, where scheduler noise on a
+    shared machine spans tens of percent, so the best of ten pairs is
+    taken (about as much measured time per side as two pairs of the
+    old 18-second compiled search gave).
     Verdict equality between the disabled and enabled runs is asserted
     — telemetry observes only — and the enabled runs' span breakdown
     is recorded so the committed JSON shows where certification time
@@ -465,28 +480,25 @@ def bench_faults_overhead(runs: int = 9, calibration_calls: int = 2_000_000) -> 
 def run(out_path: Path) -> dict:
     compiled = bench_explorer("compiled")
     reference = bench_explorer("reference")
-    steps = bench_steps()
     matrix = bench_matrix()
     explorer_speedup = round(
         compiled["states_per_sec"] / reference["states_per_sec"], 2
     )
-    step_speedup = round(
-        steps["compiled_steps_per_sec"] / steps["reference_steps_per_sec"], 2
-    )
     report = {
         "workload": "fig6_gadget REA queue_bound=2 (explorer), "
-        "fig6_gadget UMS 1000-step schedule (steps), "
         "DISAGREE all 24 models (matrix)",
         "python": platform.python_version(),
         "explorer": {"compiled": compiled, "reference": reference},
-        "steps": steps,
         "matrix_certification": matrix,
-        "speedup": {
-            "explorer_states": explorer_speedup,
-            "replay_steps": step_speedup,
-        },
+        "speedup": {"explorer_states": explorer_speedup},
         "passes_min_speedup": explorer_speedup >= MIN_EXPLORER_SPEEDUP,
     }
+    seconds = {
+        "explorer_compiled": compiled["seconds"],
+        "explorer_reference": reference["seconds"],
+        "matrix": matrix["seconds"],
+    }
+    _append_history(out_path, report, seconds)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -504,14 +516,15 @@ def _git_rev(repo: Path) -> str:
     return "unknown"
 
 
-def _append_history(out_path: Path, report: dict) -> None:
+def _append_history(out_path: Path, report: dict, seconds: dict) -> None:
     """Carry forward and extend the perf trajectory across PRs.
 
-    Earlier revisions overwrote ``BENCH_matrix.json`` wholesale, so the
+    Earlier revisions overwrote the BENCH files wholesale, so the
     committed file only ever showed the latest numbers and the history
     lived (unreadably) in git.  Each run now appends one timestamped
-    entry — git revision, python, and the headline workload seconds —
-    to a ``history`` list preserved from the previous file.
+    entry — git revision, python, the headline workload ``seconds`` and
+    the speedups — to a ``history`` list preserved from the previous
+    file.
     """
     history = []
     if out_path.exists():
@@ -519,10 +532,6 @@ def _append_history(out_path: Path, report: dict) -> None:
             history = json.loads(out_path.read_text()).get("history", [])
         except (json.JSONDecodeError, OSError):
             history = []
-    seconds = {
-        name: entry["seconds"]
-        for name, entry in report.get("fig7", {}).items()
-    }
     history.append(
         {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -546,7 +555,8 @@ def run_matrix(
         report["telemetry"] = bench_telemetry_overhead(telemetry_out)
     if not skip_faults:
         report["faults"] = bench_faults_overhead()
-    _append_history(out_path, report)
+    seconds = {name: entry["seconds"] for name, entry in report["fig7"].items()}
+    _append_history(out_path, report, seconds)
     out_path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 

@@ -11,18 +11,20 @@ payload containing: :data:`CACHE_VERSION`, the explorer's
 :data:`~repro.engine.explorer.ENGINE_REVISION`, the reducer's
 :data:`~repro.engine.reduction.REDUCTION_REVISION`, the instance's
 relabeling-invariant :func:`~repro.core.canonical.canonical_hash`, the
-model name, and every bound that can change the verdict or its
-accounting (``queue_bound``, ``max_states``, ``reliable_twin_first``,
-``reduction``).  Bumping any revision constant invalidates every stale
-entry by construction — the cache never needs a migration step.  The
-``engine`` choice is deliberately *not* part of the key: the
-differential tests pin compiled and reference bit-identical, and the
-packed engine bit-identical on trivial-symmetry instances and
-verdict-equal with monotone completeness on symmetric ones, so cached
-results are interchangeable across engines.  Because the instance key is the
-canonical hash, a renamed copy of a cached gadget hits the same entry;
-stored witnesses are encoded in canonical-index space and translated
-back into the requesting instance's node names on load.
+model name, every bound that can change the verdict or its accounting
+(``queue_bound``, ``max_states``, ``reliable_twin_first``,
+``reduction``), and the engine's symmetry mode
+(:data:`~repro.engine.explorer.ENGINE_SYMMETRY`).  Bumping any revision
+constant invalidates every stale entry by construction — the cache
+never needs a migration step.  The key carries the symmetry mode rather
+than the engine name: compiled and reference are pinned bit-identical
+and share entries, while packed's orbit quotient changes state counts
+(and may strengthen ``complete``), so its results live under their own
+keys and a query never sees counts another engine produced.  Because
+the instance key is the canonical hash, a renamed copy of a cached
+gadget hits the same entry; stored witnesses are encoded in
+canonical-index space and translated back into the requesting
+instance's node names on load.
 
 **Storage.**  One JSON file per key under
 ``<root>/verdicts/<key[:2]>/<key>.json`` (default root ``.repro-cache``,
@@ -73,7 +75,12 @@ from ..faults import fault_point
 from ..fsutil import atomic_write_text, sweep_orphan_temps
 from ..obs import active as _telemetry
 from .activation import INFINITY, ActivationEntry
-from .explorer import ENGINE_REVISION, ExplorationResult, OscillationWitness
+from .explorer import (
+    ENGINE_REVISION,
+    ENGINE_SYMMETRY,
+    ExplorationResult,
+    OscillationWitness,
+)
 from .reduction import REDUCTION_REVISION
 
 __all__ = [
@@ -92,7 +99,8 @@ __all__ = [
 
 #: Bumped whenever the on-disk payload format changes.
 #: 2: payload sha256 ``checksum`` field (PR 5 storage hardening).
-CACHE_VERSION = 2
+#: 3: keys carry the engine's symmetry mode.
+CACHE_VERSION = 3
 
 #: Default cache root (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -127,8 +135,13 @@ def verdict_key(
     max_states: int,
     reliable_twin_first: bool,
     reduction: str,
+    engine: str = "compiled",
 ) -> str:
-    """The content address of one (instance, model, bounds) verdict."""
+    """The content address of one (instance, model, bounds) verdict.
+
+    ``engine`` enters only through its symmetry mode, so engines that
+    are bit-identical share one entry.
+    """
     payload = {
         "cache_version": CACHE_VERSION,
         "engine_revision": ENGINE_REVISION,
@@ -139,6 +152,7 @@ def verdict_key(
         "max_states": max_states,
         "reliable_twin_first": bool(reliable_twin_first),
         "reduction": reduction,
+        "symmetry": ENGINE_SYMMETRY[engine],
     }
     blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

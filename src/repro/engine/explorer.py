@@ -62,6 +62,7 @@ from .state import NetworkState
 
 __all__ = [
     "ENGINE_REVISION",
+    "ENGINE_SYMMETRY",
     "ExplorationResult",
     "OscillationWitness",
     "Explorer",
@@ -72,6 +73,14 @@ __all__ = [
 #: logic, canonicalization) — part of every verdict-cache key so cached
 #: results from an older engine are never replayed.
 ENGINE_REVISION = 2
+
+#: How each engine treats instance symmetry.  ``"orbit"`` searches the
+#: quotient by the automorphism group, which changes state counts and
+#: may strengthen ``complete``; ``"none"`` searches the concrete graph.
+#: ``compiled`` is the packed engine over the identity group, so it is
+#: bit-identical to ``reference``.  The dispatch in
+#: :meth:`Explorer.explore` and the verdict-cache key both read this.
+ENGINE_SYMMETRY = {"compiled": "none", "packed": "orbit", "reference": "none"}
 
 
 @dataclass(frozen=True)
@@ -137,13 +146,15 @@ class Explorer:
     """Exhaustive bounded search of one (instance, model) state graph.
 
     ``engine`` selects the execution core: ``"compiled"`` (default)
-    runs the search on integer-packed states via
-    :mod:`repro.engine.compiled` — same verdicts, same witnesses,
-    several times faster — while ``"reference"`` runs the direct
-    Def. 2.1–2.3 implementation below.  The differential tests assert
-    the two are bit-identical; keep the reference path around as the
-    semantics of record (cf. Daggitt–Griffin on verified reference
-    models for policy-rich DBF protocols).
+    runs the search on single-integer states via
+    :mod:`repro.engine.packed` over the identity group — same verdicts,
+    same counts, same witnesses, an order of magnitude faster — while
+    ``"reference"`` runs the direct Def. 2.1–2.3 implementation below.
+    The differential tests assert the two are bit-identical; keep the
+    reference path around as the semantics of record (cf.
+    Daggitt–Griffin on verified reference models for policy-rich DBF
+    protocols).  ``"packed"`` runs the same fast loop on the orbit
+    quotient (see :data:`ENGINE_SYMMETRY`).
     """
 
     #: Class-level defaults so subclasses that bypass ``__init__`` (the
@@ -166,7 +177,7 @@ class Explorer:
     ) -> None:
         if model.concurrency.name != "ONE":
             raise ValueError("the explorer supports one-node-per-step models only")
-        if engine not in ("compiled", "reference", "packed"):
+        if engine not in ENGINE_SYMMETRY:
             raise ValueError(f"unknown explorer engine {engine!r}")
         self.instance = instance
         self.model = model
@@ -347,7 +358,7 @@ class Explorer:
     def _absorption(self, state: NetworkState):
         """The forced absorption step at ``state``, if one applies.
 
-        Mirror of ``CompiledExplorer._absorption`` (same channel scan
+        Mirror of ``PackedExplorer._absorption_succ`` (same channel scan
         order, same guards) — see :mod:`repro.engine.reduction` for the
         soundness argument.  The successor is built directly: reading a
         front message that is ext-equivalent to the known route cannot
@@ -464,17 +475,7 @@ class Explorer:
         # Fast path: the packed-integer port of this exact search.
         # Subclasses (e.g. the multi-node explorer) override successor
         # generation, so only the base class may take it.
-        if self.engine == "compiled" and type(self) is Explorer:
-            from .compiled import CompiledExplorer
-
-            return CompiledExplorer(
-                self.instance,
-                self.model,
-                queue_bound=self.queue_bound,
-                max_states=self.max_states,
-                reduction=self.reduction,
-            ).explore()
-        if self.engine == "packed" and type(self) is Explorer:
+        if self.engine != "reference" and type(self) is Explorer:
             from .packed import PackedExplorer
 
             return PackedExplorer(
@@ -483,6 +484,8 @@ class Explorer:
                 queue_bound=self.queue_bound,
                 max_states=self.max_states,
                 reduction=self.reduction,
+                symmetry=ENGINE_SYMMETRY[self.engine],
+                engine=self.engine,
             ).explore()
         return self._explore_reference()
 
@@ -775,9 +778,10 @@ def can_oscillate(
     budget), and verdict-cache selection.  The cache — anything
     :func:`repro.engine.cache.as_cache` accepts — memoizes the result
     in the content-addressed verdict store, keyed by the instance's
-    canonical hash plus the search parameters (the ``engine`` is *not*
-    part of the key: compiled and reference runs are bit-identical by
-    construction).  The individual keyword arguments are a deprecated
+    canonical hash plus the search parameters and the engine's
+    symmetry mode (:data:`ENGINE_SYMMETRY`: compiled and reference runs
+    are bit-identical and share entries; packed's orbit quotient keeps
+    its own).  The individual keyword arguments are a deprecated
     shim kept for older callers; passing any of them emits a
     :class:`DeprecationWarning` and overrides the config field.
     """
@@ -810,6 +814,7 @@ def can_oscillate(
             max_states=max_states,
             reliable_twin_first=reliable_twin_first,
             reduction=reduction,
+            engine=engine,
         )
         hit = cache.get(key, instance)
         if hit is not None:

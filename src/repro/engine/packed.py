@@ -1,11 +1,12 @@
 """Packed-word execution core: whole states as single integers.
 
-The compiled engine (:mod:`repro.engine.compiled`) already interns
-routes, nodes, and channels into dense ids, but a state is still a
-4-tuple of tuples and every successor allocates fresh tuples.  This
-module is the third engine tier: one canonical state is a **single
-Python integer** laid out in fixed-width bit fields derived from the
-:class:`~repro.engine.compiled.InstanceCodec` —
+This is the fast engine; :mod:`repro.engine.explorer` keeps the
+reference engine as the readable oracle.  It serves two engine names:
+``"packed"`` searches the orbit quotient described below, and
+``"compiled"`` runs the same loop over the identity group, which makes
+it bit-identical to the reference engine.  One canonical state is a
+**single Python integer** laid out in fixed-width bit fields derived
+from the :class:`~repro.engine.compiled.InstanceCodec` —
 
     ``[ π digits | announced digits | ρ digits | per-channel queues ]``
 
@@ -28,9 +29,10 @@ zero).  Three consequences drive the speed:
   keyed by an int→index dict; adjacency is a CSR triple of
   ``array('q')`` buffers, which the fairness passes (and the optional
   numpy path) can scan without touching per-state objects.
-* **Search-time symmetry quotienting.**  The instance's automorphism
-  group (:func:`repro.core.canonical.automorphisms`) is compiled into
-  index permutations on packed words; every successor is replaced by
+* **Search-time symmetry quotienting** (``symmetry="orbit"``).  The
+  instance's automorphism group
+  (:func:`repro.core.canonical.automorphisms`) is compiled into index
+  permutations on packed words; every successor is replaced by
   the lexicographic minimum of its orbit before dedup, so symmetric
   interleavings merge *during* search and compound with the ample-set
   reduction.  Fair-cycle detection on the quotient graph is done on
@@ -43,18 +45,19 @@ zero).  Three consequences drive the speed:
   onto the prefix endpoint, so they replay against the original
   instance labels.
 
-For instances with a trivial automorphism group (e.g. fig7) the search
-explores *exactly* the compiled engine's graph in the compiled
-engine's order — same states, same truncation counts, same checkpoint
-early exits, same Tarjan-order witness selection — so verdicts, flags,
-counts, and witnesses are bit-identical; the differential suite pins
-this.  With a nontrivial group the quotient explores fewer states but
-provably preserves the verdict, and ``complete`` follows the same
-monotone contract the ample reduction already has versus the unreduced
-search: the quotient may certify *more* (its mid-search checkpoints
-never exit early, and covering the quotient covers the whole space),
-never less.  Truncation-zeroness is group-equivariant and the quotient
-is never larger than the concrete graph, so ``packed.complete >=
+Over the identity group (``symmetry="none"``, or an instance whose
+group is trivial, e.g. fig7) the search explores *exactly* the
+reference engine's graph in the reference engine's order — same
+states, same truncation counts, same checkpoint early exits, same
+Tarjan-order witness selection — so verdicts, flags, counts, and
+witnesses are bit-identical; the differential suites pin this.  With a
+nontrivial group the quotient explores fewer states but provably
+preserves the verdict, and ``complete`` follows the same monotone
+contract the ample reduction already has versus the unreduced search:
+the quotient may certify *more* (its mid-search checkpoints never exit
+early, and covering the quotient covers the whole space), never less.
+Truncation-zeroness is group-equivariant and the quotient is never
+larger than the concrete graph, so ``packed.complete >=
 compiled.complete`` always holds.
 
 An optional vectorized path (auto-detected numpy/scipy, disabled via
@@ -79,7 +82,8 @@ from ..models.dimensions import MessageCount, NeighborScope, Reliability
 from ..models.taxonomy import CommunicationModel
 from ..obs import active as _telemetry
 from .activation import INFINITY
-from .compiled import CompiledExplorer, apply_packed, codec_for
+from .compiled import apply_packed, codec_for, write_tables
+from .reduction import absorption_allowed, validate_reduction
 
 __all__ = ["PackedExplorer"]
 
@@ -136,9 +140,13 @@ class _PackedOp:
 
 
 class PackedExplorer:
-    """Single-word port of :class:`repro.engine.compiled.CompiledExplorer`
-    with search-time orbit quotienting.  Constructed by
-    ``Explorer.explore()`` when the engine is ``"packed"``."""
+    """The single-word search of :class:`repro.engine.explorer.Explorer`.
+
+    ``symmetry="orbit"`` quotients by the instance's automorphism
+    group; ``"none"`` searches the concrete graph.  ``engine`` is the
+    name the caller asked for, reported in heartbeats.  Constructed by
+    ``Explorer.explore()``, which maps engine names to symmetry modes.
+    """
 
     def __init__(
         self,
@@ -147,19 +155,18 @@ class PackedExplorer:
         queue_bound: int = 3,
         max_states: int = 200_000,
         reduction: str = "ample",
+        symmetry: str = "orbit",
+        engine: str = "packed",
     ) -> None:
-        # The compiled explorer supplies the codec, the canonicalizer,
-        # the combo/kickoff enumerators, and validates the arguments.
-        self._comp = CompiledExplorer(
-            instance, model, queue_bound=queue_bound,
-            max_states=max_states, reduction=reduction,
-        )
+        if model.concurrency.name != "ONE":
+            raise ValueError("the explorer supports one-node-per-step models only")
         self.instance = instance
         self.model = model
         self.queue_bound = queue_bound
         self.max_states = max_states
-        self.reduction = self._comp.reduction
-        self.codec = codec = self._comp.codec
+        self.reduction = validate_reduction(reduction)
+        self.engine = engine
+        self.codec = codec = codec_for(instance)
 
         n_nodes = len(codec.nodes)
         n_channels = len(codec.channels)
@@ -191,14 +198,16 @@ class PackedExplorer:
         # Stored queue/ρ digits are always ext-class representatives, so
         # projection never needs a post-hoc pass: wval[cid][r] is the
         # digit actually written when route r lands on channel cid.
-        if self._comp._rep is not None:
-            self._wval = self._comp._rep
-        else:
-            ident = tuple(range(n_routes))
-            self._wval = tuple(ident for _ in range(n_channels))
-        self._collapse = self._comp._collapse
-        self._count_all = self._comp._count_all
-        self._absorb = self._comp._absorb
+        self._wval = write_tables(instance, self.reduction)
+        self._count_all = model.count is MessageCount.ALL
+        # Reliable count-A queues collapse to their newest message.
+        self._collapse = (
+            self._count_all and model.reliability is Reliability.RELIABLE
+        )
+        self._absorb = (
+            self.reduction == "ample" and absorption_allowed(model)
+        )
+        self._combo_cache: dict = {}
         self._recv = tuple(
             codec.node_id[channel[1]] for channel in codec.channels
         )
@@ -309,7 +318,7 @@ class PackedExplorer:
         self._init_tau = 0
 
         # ---- automorphism group -----------------------------------------
-        self._setup_group()
+        self._setup_group(symmetry)
 
         # ---- optional vectorized path -----------------------------------
         self._np, self._sp = _detect_vector_libs()
@@ -317,12 +326,12 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # Symmetry machinery
     # ------------------------------------------------------------------
-    def _setup_group(self) -> None:
+    def _setup_group(self, symmetry: str) -> None:
         codec = self.codec
-        group = automorphisms(self.instance)
-        self._gsize = len(group)
+        group = automorphisms(self.instance) if symmetry == "orbit" else ()
+        self._gsize = len(group) or 1
         self._omemo: dict = {}
-        if len(group) == 1:
+        if self._gsize == 1:
             self._nperms = self._chperms = self._rperms = self._strans = ()
             self._comp_tab = ((0,),)
             self._inv_tab = (0,)
@@ -468,8 +477,32 @@ class PackedExplorer:
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # Word <-> compiled 4-tuple conversion
+    # Word <-> codec 4-tuple conversion
     # ------------------------------------------------------------------
+    def _canonical(self, packed: tuple) -> tuple:
+        """The canonical form of a codec 4-tuple: destination in-channels
+        cleared, collapsed queues cut to their newest message, and every
+        stored digit projected through the write tables — the rules the
+        word-level write constants apply to every successor."""
+        pi, rho, channels, announced = packed
+        rho = list(rho)
+        channels = list(channels)
+        for cid in self.codec.dest_in:
+            rho[cid] = 0
+            channels[cid] = ()
+        if self._collapse:
+            channels = [queue[-1:] for queue in channels]
+        wval = self._wval
+        return (
+            pi,
+            tuple(table[r] for table, r in zip(wval, rho)),
+            tuple(
+                tuple(table[m] for m in queue)
+                for table, queue in zip(wval, channels)
+            ),
+            announced,
+        )
+
     def _encode(self, packed: tuple) -> int:
         pi, rho, channels, announced = packed
         lb = self._lb
@@ -520,6 +553,48 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # Per-channel read effects and per-signature menus
     # ------------------------------------------------------------------
+    def _count_options(self, pending: int) -> tuple:
+        kind = self.model.count
+        if kind is MessageCount.ONE:
+            return (1,)
+        if kind is MessageCount.ALL:
+            return (INFINITY,)
+        if pending == 0:
+            return (1,)
+        behaviours = list(range(1, pending + 1))
+        behaviours[-1] = INFINITY
+        if (
+            kind is MessageCount.SOME
+            and self.model.scope is NeighborScope.EVERY
+        ):
+            behaviours.insert(0, 0)
+        return tuple(behaviours)
+
+    def _drop_options(self, effective: int) -> tuple:
+        if self.model.reliability is Reliability.RELIABLE or effective == 0:
+            return (_NO_DROPS,)
+        options = []
+        for survivor in range(effective, 0, -1):
+            options.append(frozenset(range(survivor + 1, effective + 1)))
+        options.append(frozenset(range(1, effective + 1)))
+        return tuple(options)
+
+    def _combos_for(self, pending: int) -> tuple:
+        """Behaviourally distinct ``(f, g)`` pairs for one channel, in
+        the reference explorer's enumeration order."""
+        cached = self._combo_cache.get(pending)
+        if cached is None:
+            combos = []
+            for count in self._count_options(pending):
+                effective = (
+                    pending if count is INFINITY else min(count, pending)
+                )
+                for dropped in self._drop_options(effective):
+                    combos.append((count, dropped))
+            cached = tuple(combos)
+            self._combo_cache[pending] = cached
+        return cached
+
     def _channel_effects(self, cid: int, qf: int, rho_val: int) -> tuple:
         """(delta, preference-position) per combo of _combos_for(len).
 
@@ -540,7 +615,7 @@ class PackedExplorer:
         rho_shift = self._rho_off[cid]
         pe = self._pe[cid]
         effects = []
-        for count, drops in self._comp._combos_for(ln):
+        for count, drops in self._combos_for(ln):
             take = ln if count is INFINITY else min(count, ln)
             if not take:
                 effects.append((0, pe[rho_val]))
@@ -610,7 +685,7 @@ class PackedExplorer:
 
     def _build_menu(self, nid: int, sig: tuple) -> tuple:
         """All behaviourally distinct ops of node ``nid`` at queue-length
-        signature ``sig`` — exactly the compiled enumeration order."""
+        signature ``sig`` — exactly the reference enumeration order."""
         codec = self.codec
         in_cids = codec.in_ch[nid]
         pending = dict(zip(in_cids, sig))
@@ -636,7 +711,7 @@ class PackedExplorer:
                 [
                     (j, count, drops)
                     for j, (count, drops) in enumerate(
-                        self._comp._combos_for(pending[cid])
+                        self._combos_for(pending[cid])
                     )
                 ]
                 for cid in cids
@@ -658,7 +733,7 @@ class PackedExplorer:
 
     def _entry_count(self, word: int) -> int:
         """Unreduced entry count at ``word`` (states_pruned accounting);
-        the packed twin of CompiledExplorer._full_entry_count.  Depends
+        the packed twin of ``Explorer._full_entry_count``.  Depends
         only on the destination's announced digit and the queue
         lengths, so it memoizes on the word masked down to those bits.
         """
@@ -695,7 +770,7 @@ class PackedExplorer:
         ``key`` is ``word & node_mask[nid]``; every bit the expansion
         reads lives inside the mask, so the resulting
         ``(entries, n_locally_truncated)`` pair — where each entry is
-        ``(op, word_delta, total_delta)`` in compiled enumeration order
+        ``(op, word_delta, total_delta)`` in reference enumeration order
         — is shared verbatim by every global state that agrees on the
         masked bits.  Only the message-total bound (which depends on the
         global total) is re-checked at the point of use.
@@ -796,7 +871,7 @@ class PackedExplorer:
 
     def _absorption_succ(self, word: int) -> "tuple | None":
         """(op, successor word) when the forced absorption step applies;
-        mirrors CompiledExplorer._absorption on packed digits (stored
+        mirrors ``Explorer._absorption`` on packed digits (stored
         digits are representatives, so the rep-table comparison is a
         plain digit equality)."""
         fmask = self._fmask
@@ -831,11 +906,23 @@ class PackedExplorer:
         """(op, successor word, total) for the destination kickoff, or
         ``None`` when the successor breaches the queue bounds.  Rare
         (only states where the destination has not yet announced), so
-        it goes through the compiled slow path."""
-        packed = self._decode(word)
-        kick = self._comp._kickoff(packed)
-        nxt = self._comp.canonicalize(
-            apply_packed(self.codec, packed, kick[0], kick[1])
+        it steps the decoded 4-tuple through :func:`apply_packed`."""
+        codec = self.codec
+        in_cids = codec.in_ch[codec.dest_id]
+        scope = self.model.scope
+        if scope is NeighborScope.ONE:
+            cids = in_cids[:1]
+        elif scope is NeighborScope.EVERY:
+            cids = in_cids
+        else:
+            cids = ()
+        count = INFINITY if self._count_all else 1
+        kick = (
+            (codec.dest_id,),
+            tuple((cid, count, _NO_DROPS) for cid in cids),
+        )
+        nxt = self._canonical(
+            apply_packed(codec, self._decode(word), kick[0], kick[1])
         )
         total = 0
         for queue in nxt[2]:
@@ -849,7 +936,7 @@ class PackedExplorer:
         return op, self._encode(nxt), total
 
     # ------------------------------------------------------------------
-    # Search (packed twin of CompiledExplorer.explore)
+    # Search (packed twin of Explorer._explore_reference)
     # ------------------------------------------------------------------
     def explore(self):
         from .explorer import ExplorationResult
@@ -860,9 +947,8 @@ class PackedExplorer:
         self._orbits_merged = 0
         batches = 0
 
-        comp = self._comp
         codec = self.codec
-        init4 = comp.canonicalize(codec.initial_packed())
+        init4 = self._canonical(codec.initial_packed())
         word0 = self._encode(init4)
         if self._gsize > 1:
             word0, self._init_tau = self._orbit_min(word0)
@@ -1043,7 +1129,7 @@ class PackedExplorer:
                         "explore",
                         instance=self.instance.name,
                         model=self.model.name,
-                        engine="packed",
+                        engine=self.engine,
                         states=len(states),
                         pruned=self._pruned,
                         truncated=truncated,
@@ -1054,12 +1140,13 @@ class PackedExplorer:
                     )
                 # Mid-search early exit is only taken on the trivial-
                 # group path, where the graph and visit order replicate
-                # the compiled engine exactly — so the exit (and the
+                # the reference engine exactly — so the exit (and the
                 # resulting ``complete=False``) fires at the same state
                 # count.  Under a nontrivial group the quotient reaches
                 # cycles at different prefixes than the concrete search,
                 # so an early exit could flip ``complete`` relative to
-                # compiled; the quotient is small enough to finish.
+                # the concrete search; the quotient is small enough to
+                # finish.
                 if gsize == 1:
                     witness = self._find_fair_oscillation(graph)
                     if witness is not None:
@@ -1149,7 +1236,7 @@ class PackedExplorer:
         those are kept too.  The scipy path labels components in C but
         loses Tarjan's emission order (``tarjan_ordered=False``); the
         stdlib path runs Tarjan and preserves it.  The trivial-group
-        caller needs that order to pick the same component the compiled
+        caller needs that order to pick the same component the reference
         engine picks, and re-derives it when the fast path dropped it.
         """
         states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
@@ -1282,7 +1369,7 @@ class PackedExplorer:
     def _find_fair_oscillation(self, graph):
         comps, ordered = self._candidate_components(graph)
         if self._gsize == 1:
-            # The compiled engine returns the *first* qualifying SCC in
+            # The reference engine returns the *first* qualifying SCC in
             # Tarjan emission order; replicate that exactly so trivial-
             # group witnesses stay bit-identical.  The scipy screen has
             # no such order: use it only to dismiss the (common) no-
@@ -1365,7 +1452,7 @@ class PackedExplorer:
         members = set(comp)
         anchor = min(comp)
         anchor_pi = states[anchor] & pimask
-        # ``comp`` is in Tarjan stack-pop order; the compiled engine
+        # ``comp`` is in Tarjan stack-pop order; the reference engine
         # picks the first differing-π member in that same order.
         other = next(s for s in comp if states[s] & pimask != anchor_pi)
         period = self._bfs_path(anchor, other, members, graph) + \
@@ -1494,7 +1581,7 @@ class PackedExplorer:
         return None
 
     def _threaded_fairness(self, tcomp, inner, states) -> bool:
-        """The compiled fairness predicate on the realized component."""
+        """The reference fairness predicate on the realized component."""
         ops = self._ops
         nperms = self._nperms
         mask_img = self._mask_img

@@ -5,7 +5,7 @@ activation entries, but large fractions of those interleavings are
 redundant: they differ only in *when* a node consumes a message whose
 content it has already seen.  This module implements two sound
 reductions, applied by both the reference :class:`~repro.engine.explorer.Explorer`
-and the compiled :class:`~repro.engine.compiled.CompiledExplorer` when
+and the packed :class:`~repro.engine.packed.PackedExplorer` when
 ``reduction="ample"`` (the default; ``reduction="none"`` opts out):
 
 **Extension-projection quotient.**  A known route ``ρ(c)`` and the
@@ -95,8 +95,8 @@ def route_universe(instance) -> tuple:
     """ε plus every permitted path, in the codec's interning order.
 
     Mirrors :class:`repro.engine.compiled.InstanceCodec` exactly so the
-    integer tables of :func:`representative_tables` index the compiled
-    engine's route ids directly.  Memoized on the instance — every
+    integer tables of :func:`representative_tables` index the codec's
+    route ids directly.  Memoized on the instance — every
     explorer construction consults it (directly and via the
     representative tables), and the interning order is a pure function
     of the instance.
@@ -152,7 +152,7 @@ def representative_paths(instance) -> dict:
     """The path-level twin of :func:`representative_tables`.
 
     Returns ``{channel: {route: representative route}}`` for the
-    reference engine; representative choices coincide with the compiled
+    reference engine; representative choices coincide with the integer
     tables, which keeps the two engines bit-identical under reduction.
     """
     cached = instance.__dict__.get("_reduction_paths")

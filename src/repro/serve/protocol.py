@@ -41,8 +41,10 @@ header instead.
 Request ``config`` deliberately accepts only ``engine`` and
 ``reduction``: cache location, worker width, and telemetry are
 deployment decisions owned by the server, and neither accepted field
-changes the verdict (engines are pinned bit-identical by the
-differential suites; the reducer is part of the cache key).
+changes the verdict (engines agree on every verdict, pinned by the
+differential suites).  Both reach the cache key: the reducer directly,
+the engine through its symmetry mode, so an answer always carries the
+counts the requested engine produces.
 """
 
 from __future__ import annotations

@@ -372,6 +372,7 @@ class VerdictService:
                 max_states=request.max_states,
                 reliable_twin_first=request.reliable_twin_first,
                 reduction=request.reduction,
+                engine=request.engine,
             )
             for model_name in request.models
         }

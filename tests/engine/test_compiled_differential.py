@@ -1,22 +1,27 @@
 """Differential tests: the compiled engine ≡ the reference engine.
 
-The compiled core (``repro.engine.compiled``) re-implements the Def. 2.3
-step and the bounded oscillation search on integer-interned packed
-states.  Nothing in these tests knows *how* — they only demand that
-every observable artifact is bit-identical to the didactic reference
-implementation: trace states, final assignments, explorer verdicts,
-state counts, and oscillation witnesses.  Seeded hypothesis sweeps keep
+``engine="compiled"`` runs the packed search (``repro.engine.packed``)
+over the identity automorphism group, on states interned by
+``repro.engine.compiled``.  Nothing in these tests knows *how* — they
+only demand that every observable artifact is bit-identical to the
+didactic reference implementation: trace states, final assignments,
+explorer verdicts, state counts, and oscillation witnesses.  Symmetric
+instances are included on purpose: they are where the identity group
+differs from packed's orbit quotient.  Seeded hypothesis sweeps keep
 the comparison honest on instances nobody hand-picked.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import instances as canonical
+from repro.core.canonical import automorphisms
 from repro.core.generators import random_instance
-from repro.engine.compiled import CompiledExplorer, codec_for, replay_schedule
+from repro.engine.compiled import apply_packed, codec_for
 from repro.engine.execution import Execution
 from repro.engine.explorer import Explorer, can_oscillate
+from repro.engine.packed import PackedExplorer
 from repro.engine.schedulers import RandomScheduler
 from repro.engine.state import NetworkState
 from repro.models.taxonomy import ALL_MODELS, model
@@ -27,6 +32,9 @@ model_indexes = st.integers(min_value=0, max_value=len(ALL_MODELS) - 1)
 seeds = st.integers(min_value=0, max_value=10_000)
 
 SLOW = dict(max_examples=25, deadline=None)
+
+#: A generated 4-node instance with a nontrivial automorphism group.
+SYMMETRIC_SEED = 2
 
 
 def result_tuple(result):
@@ -44,6 +52,27 @@ def witness_tuple(witness):
     if witness is None:
         return None
     return (witness.prefix, witness.cycle, witness.assignments)
+
+
+def replay_schedule(instance, schedule, initial_state=None):
+    """Run a finite schedule through :func:`apply_packed`.
+
+    Returns the post-step :class:`NetworkState` snapshots — the packed
+    twin of ``Execution(instance).run(schedule).states`` under the
+    default export-everything policy.
+    """
+    codec = codec_for(instance)
+    packed = (
+        codec.initial_packed()
+        if initial_state is None
+        else codec.pack_state(initial_state)
+    )
+    states = []
+    for entry in schedule:
+        node_ids, combo = codec.compile_entry(entry)
+        packed = apply_packed(codec, packed, node_ids, combo)
+        states.append(codec.unpack_state(packed))
+    return states
 
 
 class TestCodecRoundTrip:
@@ -173,6 +202,55 @@ class TestExplorerEquivalence:
             instance, model_.name, queue_bound=2, max_states=3_000
         )
 
+    def assert_symmetric_instance_agrees(self, instance, queue_bound):
+        # A nontrivial group is what separates compiled (identity group)
+        # from packed (orbit quotient); compiled must still equal the
+        # reference result field for field, pruning counts and
+        # witnesses included.
+        assert len(automorphisms(instance)) > 1
+        for m in ALL_MODELS:
+            if m.concurrency.name != "ONE":
+                continue
+            compiled, reference = (
+                Explorer(
+                    instance,
+                    m,
+                    queue_bound=queue_bound,
+                    max_states=3_000,
+                    engine=engine,
+                ).explore()
+                for engine in ("compiled", "reference")
+            )
+            assert compiled == reference, m.name
+
+    def test_disagree_grid_all_single_node_models(self):
+        self.assert_symmetric_instance_agrees(
+            canonical.disagree_grid(2), queue_bound=1
+        )
+
+    def test_seeded_random_symmetric_instance(self):
+        self.assert_symmetric_instance_agrees(
+            random_instance(SYMMETRIC_SEED, n_nodes=4), queue_bound=2
+        )
+
+    def test_compiled_merges_no_orbits(self):
+        merged = {}
+        for engine in ("compiled", "packed"):
+            telemetry = obs.Telemetry()
+            previous = obs.install(telemetry)
+            try:
+                Explorer(
+                    canonical.disagree_grid(2),
+                    model("R1O"),
+                    queue_bound=2,
+                    engine=engine,
+                ).explore()
+            finally:
+                obs.install(previous)
+            merged[engine] = telemetry.counters["explore.orbits_merged"]
+        assert merged["compiled"] == 0
+        assert merged["packed"] > 0
+
     def test_can_oscillate_engine_parameter(self, disagree):
         for name in ("R1O", "REA", "UMS", "UEA"):
             compiled = can_oscillate(
@@ -186,14 +264,15 @@ class TestExplorerEquivalence:
                 reference.witness
             )
 
-    def test_compiled_explorer_rejects_multi_node_models(self, disagree):
+    def test_packed_explorer_rejects_multi_node_models(self, disagree):
         import pytest
 
         from repro.models.dimensions import NodeConcurrency
 
         multi = model("R1A").with_concurrency(NodeConcurrency.UNRESTRICTED)
-        with pytest.raises(ValueError):
-            CompiledExplorer(disagree, multi)
+        for symmetry in ("none", "orbit"):
+            with pytest.raises(ValueError):
+                PackedExplorer(disagree, multi, symmetry=symmetry)
 
     def test_unknown_engine_rejected(self, disagree):
         import pytest

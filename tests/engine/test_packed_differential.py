@@ -28,6 +28,7 @@ from repro.core.generators import random_instance
 from repro.engine.execution import Execution
 from repro.engine.explorer import Explorer
 from repro.engine.packed import PackedExplorer
+from repro.engine.state import NetworkState
 from repro.models.constraints import is_legal_entry
 from repro.models.taxonomy import ALL_MODELS, model
 
@@ -219,20 +220,26 @@ class TestOrbitCanonicalizer:
 
     @staticmethod
     def _sample_words(instance, name, limit=60):
+        """Reachable canonical states, breadth first from the initial
+        state along the reference engine's successors, as packed words."""
         packed = PackedExplorer(instance, model(name), queue_bound=2)
-        comp = packed._comp
-        init = comp.canonicalize(comp.codec.initial_packed())
-        seen = {init}
+        reference = Explorer(
+            instance, model(name), queue_bound=2, engine="reference"
+        )
+        init = reference.canonicalize(NetworkState.initial(instance))
+        seen = [init]
         frontier = [init]
         while frontier and len(seen) < limit:
             nxt = []
             for state in frontier:
-                for _entry, succ in comp.successors(state):
+                for _entry, succ in reference.successors(state):
                     if succ not in seen:
-                        seen.add(succ)
+                        seen.append(succ)
                         nxt.append(succ)
             frontier = nxt
-        return packed, [packed._encode(state) for state in seen]
+        return packed, [
+            packed._encode(packed.codec.pack_state(state)) for state in seen
+        ]
 
     @pytest.mark.parametrize(
         "factory,name",

@@ -104,12 +104,17 @@ class TestEventStream:
         assert summary["counters"]["explore.states"] >= result.states_explored
         assert "explore.search" in summary["spans"]
 
-    def test_heartbeats_carry_search_shape(self, tmp_path):
+    @pytest.mark.parametrize("engine", ["compiled", "packed"])
+    def test_heartbeats_carry_search_shape(self, engine, tmp_path):
         path = tmp_path / "t.jsonl"
         obs.configure(path, run={"command": "test"})
         try:
             can_oscillate(
-                fig6_gadget(), model("REA"), queue_bound=2, reduction="none"
+                fig6_gadget(),
+                model("REA"),
+                queue_bound=2,
+                reduction="none",
+                engine=engine,
             )
         finally:
             obs.shutdown()
@@ -121,7 +126,7 @@ class TestEventStream:
         assert beats, "search past 1024 states must heartbeat"
         for beat in beats:
             assert beat["phase"] == "explore"
-            assert beat["engine"] == "compiled"
+            assert beat["engine"] == engine
             assert beat["states"] >= 1024
             assert beat["elapsed_s"] >= 0.0
         states = [beat["states"] for beat in beats]
