@@ -138,8 +138,13 @@ def bench_matrix(runs: int = 3) -> dict:
 
 
 def _timed_certification(
-    instance, reduction: str, cache_dir=None, engine: str = "compiled"
+    make_instance, reduction: str, cache_dir=None, engine: str = "compiled"
 ) -> dict:
+    """One timed certification of a fresh instance object from
+    ``make_instance`` (``None``: DISAGREE).  ``can_oscillate`` memoizes
+    searches on the instance object, so reusing one object would time
+    memo hits instead of searches."""
+    instance = None if make_instance is None else make_instance()
     start = time.perf_counter()
     cert = matrix_certification(
         instance=instance,
@@ -159,7 +164,7 @@ def _timed_certification(
     }
 
 
-def _best_cold(instance, engine: str, runs: int = 3) -> dict:
+def _best_cold(make_instance, engine: str, runs: int = 3) -> dict:
     """The fastest of ``runs`` cold reduced certifications, each against
     a fresh cache.  A packed certification takes under two seconds,
     where a transient stall on a shared machine moves a single run by
@@ -168,7 +173,7 @@ def _best_cold(instance, engine: str, runs: int = 3) -> dict:
     for _ in range(runs):
         with tempfile.TemporaryDirectory() as cache_dir:
             entry = _timed_certification(
-                instance, "ample", cache_dir=cache_dir, engine=engine
+                make_instance, "ample", cache_dir=cache_dir, engine=engine
             )
         if best is None or entry["_raw_seconds"] < best["_raw_seconds"]:
             best = entry
@@ -187,11 +192,10 @@ def bench_matrix_workload() -> dict:
     10×-class gaps), except the packed cold runs, which take the best of
     three (see :func:`_best_cold`).
     """
-    fig7 = fig7_gadget()
     with tempfile.TemporaryDirectory() as cache_dir:
-        unreduced = _timed_certification(fig7, "none")
-        cold = _timed_certification(fig7, "ample", cache_dir=cache_dir)
-        warm = _timed_certification(fig7, "ample", cache_dir=cache_dir)
+        unreduced = _timed_certification(fig7_gadget, "none")
+        cold = _timed_certification(fig7_gadget, "ample", cache_dir=cache_dir)
+        warm = _timed_certification(fig7_gadget, "ample", cache_dir=cache_dir)
 
     # The reduction and the cache must change *performance only*.
     assert cold["verdicts"] == unreduced["verdicts"]
@@ -203,7 +207,7 @@ def bench_matrix_workload() -> dict:
     # of the packed gates, and bit-identical to compiled by contract.
     with tempfile.TemporaryDirectory() as reference_cache:
         reference = _timed_certification(
-            fig7, "ample", cache_dir=reference_cache, engine="reference"
+            fig7_gadget, "ample", cache_dir=reference_cache, engine="reference"
         )
 
     # The packed engine on the same certification: cold against a fresh
@@ -213,15 +217,15 @@ def bench_matrix_workload() -> dict:
     # cold run, not merely the verdicts.
     import os
 
-    packed_cold = _best_cold(fig7, "packed")
+    packed_cold = _best_cold(fig7_gadget, "packed")
     with tempfile.TemporaryDirectory() as packed_cache:
-        _timed_certification(fig7, "ample", cache_dir=packed_cache, engine="packed")
+        _timed_certification(fig7_gadget, "ample", cache_dir=packed_cache, engine="packed")
         packed_warm = _timed_certification(
-            fig7, "ample", cache_dir=packed_cache, engine="packed"
+            fig7_gadget, "ample", cache_dir=packed_cache, engine="packed"
         )
     os.environ["REPRO_NO_NUMPY"] = "1"
     try:
-        packed_stdlib = _best_cold(fig7, "packed")
+        packed_stdlib = _best_cold(fig7_gadget, "packed")
     finally:
         del os.environ["REPRO_NO_NUMPY"]
     for packed_run in (reference, packed_cold, packed_warm, packed_stdlib):
@@ -317,11 +321,9 @@ def bench_telemetry_overhead(
     """
     from repro.obs import tracing
 
-    fig7 = fig7_gadget()
-
     def certify():
         return matrix_certification(
-            instance=fig7,
+            instance=fig7_gadget(),  # fresh: no memoized searches
             config=RunConfig(workers=1, queue_bound=2, reduction="ample"),
         )
 

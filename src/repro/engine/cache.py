@@ -568,11 +568,14 @@ class VerdictCache:
 
 
 # Process-wide registry for shared_cache(): one VerdictCache (and thus
-# one hot tier) per cache directory.  Bounded so a pathological caller
-# cycling through directories cannot pin unbounded memos.
+# one hot tier) per cache directory.  Each hot tier holds up to
+# ``memo_entries`` payloads (several MB after one campaign), so only the
+# two most recently used directories stay registered: a process running
+# back-to-back campaigns, each with a fresh cache directory, would
+# otherwise keep the hot tiers of directories it no longer uses.
 _SHARED_LOCK = threading.Lock()
 _SHARED_CACHES: "OrderedDict[str, VerdictCache]" = OrderedDict()
-_SHARED_CACHES_MAX = 8
+_SHARED_CACHES_MAX = 2
 
 
 def shared_cache(root: "str | os.PathLike | None" = None) -> VerdictCache:

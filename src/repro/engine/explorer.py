@@ -770,7 +770,10 @@ def can_oscillate(
     Prop. 3.3(1) every Rxy activation sequence is a Uxy sequence, so a
     reliable-twin witness *is* an unreliable-model witness, found in a
     state space that is orders of magnitude smaller.  Safety verdicts
-    still require (and get) the full lossy search.
+    still require (and get) the full lossy search.  Search results are
+    memoized on the instance object, so that pre-pass and the reliable
+    model's own run share one search, and a repeated call on the same
+    object searches nothing.
 
     ``config`` is the preferred way to tune the run: a
     :class:`repro.RunConfig` carrying the engine, partial-order
@@ -822,17 +825,11 @@ def can_oscillate(
             _record_verdict(tel, hit, cache="hit")
             return hit
         cache_status = "miss"
+    bounds = (queue_bound, max_states, engine, reduction)
     result = None
     if reliable_twin_first and model.reliability is Reliability.UNRELIABLE:
         twin = CommunicationModel(Reliability.RELIABLE, model.scope, model.count)
-        twin_result = Explorer(
-            instance,
-            twin,
-            queue_bound=queue_bound,
-            max_states=max_states,
-            engine=engine,
-            reduction=reduction,
-        ).explore()
+        twin_result = _search(instance, twin, *bounds)
         if twin_result.oscillates:
             result = ExplorationResult(
                 model_name=model.name,
@@ -845,18 +842,47 @@ def can_oscillate(
                 witness=twin_result.witness,
             )
     if result is None:
-        result = Explorer(
-            instance,
-            model,
-            queue_bound=queue_bound,
-            max_states=max_states,
-            engine=engine,
-            reduction=reduction,
-        ).explore()
+        result = _search(instance, model, *bounds)
     if cache is not None:
         cache.put(key, instance, result)
         result = replace(result, cache_hit=False)
     _record_verdict(tel, result, cache=cache_status)
+    return result
+
+
+def _search(
+    instance: SPPInstance,
+    model: CommunicationModel,
+    queue_bound: int,
+    max_states: int,
+    engine: str,
+    reduction: str,
+) -> ExplorationResult:
+    """One search per (instance, model, bounds), memoized on the instance.
+
+    The memo key is every :class:`Explorer` argument but the instance.
+    Each search is deterministic, so the reliable-twin pre-pass of
+    ``Uxy`` and the task of ``Rxy`` itself share one result, whichever
+    of the two asks first.
+    """
+    memo = instance.__dict__.get("_search_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(instance, "_search_memo", memo)
+    key = (model, queue_bound, max_states, engine, reduction)
+    result = memo.get(key)
+    if result is not None:
+        _telemetry().count("explore.search_reused")
+        return result
+    result = Explorer(
+        instance,
+        model,
+        queue_bound=queue_bound,
+        max_states=max_states,
+        engine=engine,
+        reduction=reduction,
+    ).explore()
+    memo[key] = result
     return result
 
 

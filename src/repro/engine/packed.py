@@ -139,35 +139,20 @@ class _PackedOp:
         self.nid = nid
 
 
-class PackedExplorer:
-    """The single-word search of :class:`repro.engine.explorer.Explorer`.
+class _SharedTables:
+    """The model-independent part of a :class:`PackedExplorer`.
 
-    ``symmetry="orbit"`` quotients by the instance's automorphism
-    group; ``"none"`` searches the concrete graph.  ``engine`` is the
-    name the caller asked for, reported in heartbeats.  Constructed by
-    ``Explorer.explore()``, which maps engine names to symmetry modes.
+    The bit layout, the write-time canonicalization and append
+    constants, the node masks and the compiled automorphism group
+    depend only on the instance, the queue bound, the reduction and the
+    symmetry mode.  :func:`_shared_tables` builds them once per such
+    key and every explorer of the instance adopts them by reference;
+    menus, ops and the per-search memos depend on the model and stay
+    per explorer.
     """
 
-    def __init__(
-        self,
-        instance: SPPInstance,
-        model: CommunicationModel,
-        queue_bound: int = 3,
-        max_states: int = 200_000,
-        reduction: str = "ample",
-        symmetry: str = "orbit",
-        engine: str = "packed",
-    ) -> None:
-        if model.concurrency.name != "ONE":
-            raise ValueError("the explorer supports one-node-per-step models only")
-        self.instance = instance
-        self.model = model
-        self.queue_bound = queue_bound
-        self.max_states = max_states
-        self.reduction = validate_reduction(reduction)
-        self.engine = engine
-        self.codec = codec = codec_for(instance)
-
+    def __init__(self, instance: SPPInstance, codec, queue_bound: int,
+                 reduction: str, symmetry: str) -> None:
         n_nodes = len(codec.nodes)
         n_channels = len(codec.channels)
         n_routes = len(codec.routes)
@@ -198,20 +183,11 @@ class PackedExplorer:
         # Stored queue/ρ digits are always ext-class representatives, so
         # projection never needs a post-hoc pass: wval[cid][r] is the
         # digit actually written when route r lands on channel cid.
-        self._wval = write_tables(instance, self.reduction)
-        self._count_all = model.count is MessageCount.ALL
-        # Reliable count-A queues collapse to their newest message.
-        self._collapse = (
-            self._count_all and model.reliability is Reliability.RELIABLE
-        )
-        self._absorb = (
-            self.reduction == "ample" and absorption_allowed(model)
-        )
-        self._combo_cache: dict = {}
+        self._wval = write_tables(instance, reduction)
         self._recv = tuple(
             codec.node_id[channel[1]] for channel in codec.channels
         )
-        dest_in = set(codec.dest_in)
+        dest_in = frozenset(codec.dest_in)
         self._dest_in_set = dest_in
 
         # Fused preference table: pe[cid][r] is the preference position
@@ -286,51 +262,17 @@ class PackedExplorer:
             ecmask |= self._lmask << self._q_off[cid]
         self._ecmask = ecmask
 
-        # ---- fairness masks ---------------------------------------------
         self._relevant_cids = tuple(
             cid for cid in range(n_channels) if cid not in dest_in
         )
         self._relevant_mask = sum(1 << cid for cid in self._relevant_cids)
-        if model.scope is NeighborScope.EVERY:
-            e_nodes = []
-            for nid in range(n_nodes):
-                mask = sum(
-                    1 << cid
-                    for cid in codec.in_ch[nid]
-                    if cid not in dest_in
-                )
-                if mask:
-                    e_nodes.append((nid, mask))
-            self._e_nodes = tuple(e_nodes)
-        else:
-            self._e_nodes = ()
-
-        # ---- registries and memos ---------------------------------------
-        self._ops: list = []
-        self._menus: dict = {}
-        self._chfx: dict = {}
-        self._entry_ops: dict = {}
-        self._emask_memo: dict = {}
-        self._node_memo = tuple({} for _ in range(n_nodes))
-        self._ec_memo: dict = {}
-        self._pruned = 0
-        self._orbits_merged = 0
-        self._init_tau = 0
 
         # ---- automorphism group -----------------------------------------
-        self._setup_group(symmetry)
+        self._compile_group(instance, codec, symmetry)
 
-        # ---- optional vectorized path -----------------------------------
-        self._np, self._sp = _detect_vector_libs()
-
-    # ------------------------------------------------------------------
-    # Symmetry machinery
-    # ------------------------------------------------------------------
-    def _setup_group(self, symmetry: str) -> None:
-        codec = self.codec
-        group = automorphisms(self.instance) if symmetry == "orbit" else ()
+    def _compile_group(self, instance: SPPInstance, codec, symmetry: str) -> None:
+        group = automorphisms(instance) if symmetry == "orbit" else ()
         self._gsize = len(group) or 1
-        self._omemo: dict = {}
         if self._gsize == 1:
             self._nperms = self._chperms = self._rperms = self._strans = ()
             self._comp_tab = ((0,),)
@@ -389,8 +331,103 @@ class PackedExplorer:
                 ip[j] = i
             inv[g] = key[tuple(ip)]
         self._inv_tab = tuple(inv)
+
+
+def _shared_tables(instance: SPPInstance, codec, queue_bound: int,
+                   reduction: str, symmetry: str) -> _SharedTables:
+    """The :class:`_SharedTables` of one (instance, queue bound,
+    reduction, symmetry), memoized on the instance like its codec."""
+    memo = instance.__dict__.get("_packed_tables")
+    if memo is None:
+        memo = {}
+        object.__setattr__(instance, "_packed_tables", memo)
+    key = (queue_bound, reduction, symmetry)
+    tables = memo.get(key)
+    if tables is None:
+        tables = _SharedTables(instance, codec, queue_bound, reduction, symmetry)
+        memo[key] = tables
+        _telemetry().count("explore.plan_built")
+    return tables
+
+
+class PackedExplorer:
+    """The single-word search of :class:`repro.engine.explorer.Explorer`.
+
+    ``symmetry="orbit"`` quotients by the instance's automorphism
+    group; ``"none"`` searches the concrete graph.  ``engine`` is the
+    name the caller asked for, reported in heartbeats.  Constructed by
+    ``Explorer.explore()``, which maps engine names to symmetry modes.
+    """
+
+    def __init__(
+        self,
+        instance: SPPInstance,
+        model: CommunicationModel,
+        queue_bound: int = 3,
+        max_states: int = 200_000,
+        reduction: str = "ample",
+        symmetry: str = "orbit",
+        engine: str = "packed",
+    ) -> None:
+        if model.concurrency.name != "ONE":
+            raise ValueError("the explorer supports one-node-per-step models only")
+        self.instance = instance
+        self.model = model
+        self.queue_bound = queue_bound
+        self.max_states = max_states
+        self.reduction = validate_reduction(reduction)
+        self.engine = engine
+        self.codec = codec = codec_for(instance)
+        # The model-independent tables, shared with every explorer of
+        # this instance at these bounds (see _SharedTables).
+        vars(self).update(vars(_shared_tables(
+            instance, codec, queue_bound, self.reduction, symmetry
+        )))
+
+        # ---- model-dependent flags and fairness masks -------------------
+        self._count_all = model.count is MessageCount.ALL
+        # Reliable count-A queues collapse to their newest message.
+        self._collapse = (
+            self._count_all and model.reliability is Reliability.RELIABLE
+        )
+        self._absorb = (
+            self.reduction == "ample" and absorption_allowed(model)
+        )
+        if model.scope is NeighborScope.EVERY:
+            e_nodes = []
+            for nid in range(self._n_nodes):
+                mask = sum(
+                    1 << cid
+                    for cid in codec.in_ch[nid]
+                    if cid not in self._dest_in_set
+                )
+                if mask:
+                    e_nodes.append((nid, mask))
+            self._e_nodes = tuple(e_nodes)
+        else:
+            self._e_nodes = ()
+
+        # ---- registries and memos ---------------------------------------
+        self._combo_cache: dict = {}
+        self._ops: list = []
+        self._menus: dict = {}
+        self._chfx: dict = {}
+        self._entry_ops: dict = {}
+        self._emask_memo: dict = {}
+        self._node_memo = tuple({} for _ in range(self._n_nodes))
+        self._ec_memo: dict = {}
+        self._pruned = 0
+        self._orbits_merged = 0
+        self._init_tau = 0
+        self._omemo: dict = {}
         self._mask_img_memo: dict = {}
 
+        # ---- optional vectorized path -----------------------------------
+        self._np, self._sp = _detect_vector_libs()
+
+    # ------------------------------------------------------------------
+    # Symmetry machinery
+    # ------------------------------------------------------------------
     def _image(self, word: int, g: int) -> int:
         """σ_g applied to a packed word (result is canonical again)."""
         rmask = self._rmask

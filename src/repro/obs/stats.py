@@ -40,6 +40,8 @@ PHASE_COUNTERS = (
     "explore.frontier_batches",
     "explore.orbits_merged",
     "explore.states_pruned",
+    "explore.search_reused",
+    "explore.plan_built",
     "reduction.table_builds",
     "reduction.table_hits",
     "cache.mem_hit",

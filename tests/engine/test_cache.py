@@ -370,3 +370,21 @@ class TestSharedCache:
         # A re-run hits the shared memo, not the disk.
         run_explorations(tasks, config=config)
         assert shared.mem_hits == 2
+
+
+def test_shared_registry_retains_at_most_two_directories(tmp_path):
+    """Back-to-back campaigns, each with a fresh cache directory, must
+    not pin the hot tiers of directories no longer in use."""
+    import gc
+    import os
+    import weakref
+
+    from repro.engine import cache as cache_module
+
+    directories = [tmp_path / f"campaign-{i}" for i in range(5)]
+    caches = [weakref.ref(cache_module.shared_cache(d)) for d in directories]
+    gc.collect()
+    registered = set(cache_module._SHARED_CACHES)
+    assert len(registered) <= 2
+    assert registered == {os.path.abspath(d) for d in directories[-2:]}
+    assert [ref() is None for ref in caches] == [True, True, True, False, False]

@@ -243,6 +243,24 @@ class TestObservability:
         assert "explore.search" in out
         assert "explore.states" in out  # --counters section
 
+    def test_stats_phase_table_shows_search_reuse(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl"
+        main([
+            "matrix", "--figure", "3", "--workers", "1", "--no-cache",
+            "--telemetry", str(path),
+        ])
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        rows = {
+            line.split("|")[0].strip(): line.split("|")[1].strip()
+            for line in capsys.readouterr().out.splitlines()
+            if "(count)" in line
+        }
+        # Every unreliable model's twin pre-pass reuses its reliable
+        # twin's search; one table build serves all 24 explorers.
+        assert rows["explore.search_reused (count)"] == "12"
+        assert rows["explore.plan_built (count)"] == "1"
+
     def test_stats_json_merges_files(self, capsys, tmp_path):
         paths = []
         for index, model_name in enumerate(("R1O", "REA")):
