@@ -26,9 +26,11 @@ zero).  Three consequences drive the speed:
   :mod:`repro.engine.reduction`) is folded into the write constants,
   so every generated word is already canonical.
 * **The frontier is flat arrays.**  States live in a list of ints
-  keyed by an int→index dict; adjacency is a CSR triple of
-  ``array('q')`` buffers, which the fairness passes (and the optional
-  numpy path) can scan without touching per-state objects.
+  keyed by an int→index dict; adjacency is CSR: each expanded state
+  owns a ``[start, end)`` range of one ``array('q')`` holding a single
+  int64 per edge — ``label << W | target`` with ``label = uid · |G| +
+  τ`` — which the fairness passes (and the optional numpy path) scan
+  without touching per-state objects.  Parent links use the same code.
 * **Search-time symmetry quotienting** (``symmetry="orbit"``).  The
   instance's automorphism group
   (:func:`repro.core.canonical.automorphisms`) is compiled into index
@@ -74,6 +76,7 @@ import itertools
 import os
 import time
 from array import array
+from collections import deque
 
 from ..core.canonical import automorphisms
 from ..core.paths import EPSILON
@@ -99,11 +102,11 @@ def _detect_vector_libs():
     except ImportError:  # pragma: no cover - numpy is normally present
         return None, None
     try:
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
     except ImportError:  # pragma: no cover - scipy optional
         return numpy, None
-    return numpy, (coo_matrix, connected_components)
+    return numpy, (csr_matrix, connected_components)
 
 
 class _PackedOp:
@@ -377,6 +380,9 @@ class PackedExplorer:
         self.max_states = max_states
         self.reduction = validate_reduction(reduction)
         self.engine = engine
+        # Bit width and mask of a state index in an edge or parent code.
+        self._w = max(1, (min(max_states, 1 << 32) - 1).bit_length())
+        self._tmask = (1 << self._w) - 1
         self.codec = codec = codec_for(instance)
         # The model-independent tables, shared with every explorer of
         # this instance at these bounds (see _SharedTables).
@@ -705,8 +711,12 @@ class PackedExplorer:
         attempt_set = {cid for cid, count, _ in combo if count != 0}
         full_flag = bool(in_cids) and in_cids <= attempt_set
         node_ids = tuple(sorted({nid})) if not isinstance(nid, tuple) else nid
+        uid = len(self._ops)
+        if ((uid + 1) * self._gsize) << self._w > 1 << 63:
+            raise OverflowError(f"op {uid} with {self._gsize} symmetries does "
+                                f"not fit an int64 edge code at {self._w} bits")
         op = _PackedOp(
-            uid=len(self._ops),
+            uid=uid,
             entry=(node_ids, combo),
             choices=choices,
             unread=unread,
@@ -807,10 +817,11 @@ class PackedExplorer:
         ``key`` is ``word & node_mask[nid]``; every bit the expansion
         reads lives inside the mask, so the resulting
         ``(entries, n_locally_truncated)`` pair — where each entry is
-        ``(op, word_delta, total_delta)`` in reference enumeration order
-        — is shared verbatim by every global state that agrees on the
-        masked bits.  Only the message-total bound (which depends on the
-        global total) is re-checked at the point of use.
+        ``(uid · |G| << W, word_delta, total_delta)`` in reference
+        enumeration order, the first field an edge code still missing its
+        τ and target — is shared verbatim by every global state that
+        agrees on the masked bits.  Only the message-total bound (which
+        depends on the global total) is re-checked at the point of use.
         """
         fmask = self._fmask
         lmask = self._lmask
@@ -844,9 +855,12 @@ class PackedExplorer:
         ap = self._ap
         cv = self._cv
         pin = self._pin_factor[nid]
+        gsize = self._gsize
+        w = self._w
         entries = []
         nbad = 0
         for op in menu:
+            base = (op.uid * gsize) << w
             delta = 0
             best = no_choice
             for ci, j in op.choices:
@@ -861,7 +875,7 @@ class PackedExplorer:
             new_pi = rbp_n[best]
             takes = op.takes
             if new_pi == pi_r:
-                entries.append((op, delta, -takes))
+                entries.append((base, delta, -takes))
                 continue
             delta += (new_pi - pi_r) * pin
             dtot = -takes
@@ -882,7 +896,7 @@ class PackedExplorer:
             if bad:
                 nbad += 1
                 continue
-            entries.append((op, delta, dtot))
+            entries.append((base, delta, dtot))
         cached = (tuple(entries), nbad)
         self._node_memo[nid][key] = cached
         return cached
@@ -995,15 +1009,14 @@ class PackedExplorer:
         states: list = [word0]
         totals = array("q", [sum(len(q) for q in init4[2])])
         index_of: dict = {word0: 0}
-        parent_src = array("q", [-1])
-        parent_op = array("q", [0])
-        parent_tau = array("i", [0])
+        # One int64 per parent link and per edge: ``label << w | index``
+        # with ``label = uid * gsize + tau`` (DESIGN.md §6.4).  An edge's
+        # source is the state whose CSR range holds it; an unexpanded
+        # state's range (-1, -1) slices to nothing.
+        parent = array("q", [-1])
         adj_start = array("q", [-1])
         adj_end = array("q", [-1])
-        edge_src = array("q")
-        edge_op = array("q")
-        edge_tgt = array("q")
-        edge_tau = array("i")
+        edges = array("q")
         frontier = [0]
         truncated = 0
         overflow = False
@@ -1017,6 +1030,7 @@ class PackedExplorer:
         absorb = self._absorb
         n_nodes = self._n_nodes
         gsize = self._gsize
+        w = self._w
         dest_route_id = codec.dest_route_id
         ann_dest_off = self._ann_dest_off
         node_mask = self._node_mask
@@ -1025,25 +1039,19 @@ class PackedExplorer:
         index_get = index_of.get
         states_append = states.append
         totals_append = totals.append
-        psrc_append = parent_src.append
-        pop_append = parent_op.append
-        ptau_append = parent_tau.append
+        parent_append = parent.append
         astart_append = adj_start.append
         aend_append = adj_end.append
         frontier_append = frontier.append
-        esrc_append = edge_src.append
-        eop_append = edge_op.append
-        etgt_append = edge_tgt.append
-        etau_append = edge_tau.append
+        edge_append = edges.append
         n_states = 1
-        n_edges = 0
-        graph = (states, totals, adj_start, adj_end, edge_src, edge_op,
-                 edge_tgt, edge_tau, parent_src, parent_op, parent_tau)
+        graph = (states, totals, adj_start, adj_end, edges, parent)
 
         def result(witness, complete) -> "ExplorationResult":
             tel.timing("explore.search", time.perf_counter() - search_start)
             tel.count("explore.frontier_batches", batches)
             tel.count("explore.orbits_merged", self._orbits_merged)
+            tel.count("explore.edges", len(edges))
             return ExplorationResult(
                 model_name=self.model.name,
                 instance_name=self.instance.name,
@@ -1060,7 +1068,7 @@ class PackedExplorer:
             batches += 1
             word = states[cur]
             tcur = totals[cur]
-            a0 = n_edges
+            a0 = len(edges)
 
             # Rare per-state successors: the forced absorption step (at
             # most one, replacing the whole menu) and the destination
@@ -1079,13 +1087,13 @@ class PackedExplorer:
                     else:
                         candidates = (kick,)
             for op, succ, t2 in candidates:
+                base = (op.uid * gsize) << w
                 if gsize > 1:
                     pair = omemo_get(succ)
                     if pair is None:
                         pair = self._orbit_min(succ)
                     succ, tau = pair
-                else:
-                    tau = 0
+                    base += tau << w
                 idx = index_get(succ)
                 if idx is None:
                     if n_states >= max_states:
@@ -1097,18 +1105,11 @@ class PackedExplorer:
                     index_of[succ] = idx
                     states_append(succ)
                     totals_append(t2)
-                    psrc_append(cur)
-                    pop_append(op.uid)
-                    ptau_append(tau)
+                    parent_append(base | cur)
                     astart_append(-1)
                     aend_append(-1)
                     frontier_append(idx)
-                esrc_append(cur)
-                eop_append(op.uid)
-                etgt_append(idx)
-                n_edges += 1
-                if gsize > 1:
-                    etau_append(tau)
+                edge_append(base | idx)
 
             if forced is None:
                 for nid in range(n_nodes):
@@ -1122,7 +1123,7 @@ class PackedExplorer:
                     # Inline twin of the emission loop above — one
                     # function/tuple round-trip per successor matters
                     # here (this is the engine's innermost loop).
-                    for op, delta, dtot in entries:
+                    for base, delta, dtot in entries:
                         t2 = tcur + dtot
                         if t2 > total_bound:
                             truncated += 1
@@ -1133,6 +1134,7 @@ class PackedExplorer:
                             if pair is None:
                                 pair = self._orbit_min(succ)
                             succ, tau = pair
+                            base += tau << w
                         idx = index_get(succ)
                         if idx is None:
                             if n_states >= max_states:
@@ -1144,20 +1146,13 @@ class PackedExplorer:
                             index_of[succ] = idx
                             states_append(succ)
                             totals_append(t2)
-                            psrc_append(cur)
-                            pop_append(op.uid)
-                            ptau_append(tau if gsize > 1 else 0)
+                            parent_append(base | cur)
                             astart_append(-1)
                             aend_append(-1)
                             frontier_append(idx)
-                        esrc_append(cur)
-                        eop_append(op.uid)
-                        etgt_append(idx)
-                        n_edges += 1
-                        if gsize > 1:
-                            etau_append(tau)
+                        edge_append(base | idx)
             adj_start[cur] = a0
-            adj_end[cur] = n_edges
+            adj_end[cur] = len(edges)
 
             if n_states >= checkpoint:
                 checkpoint *= 4
@@ -1195,8 +1190,11 @@ class PackedExplorer:
     # ------------------------------------------------------------------
     # SCC enumeration
     # ------------------------------------------------------------------
-    def _sccs_csr(self, n, adj_start, adj_end, edge_tgt):
+    def _sccs_csr(self, graph):
         """Iterative Tarjan over the CSR arrays (stdlib path)."""
+        states, _, adj_start, adj_end, edges, _ = graph
+        tmask = self._tmask
+        n = len(states)
         index = [-1] * n
         low = [0] * n
         onstk = bytearray(n)
@@ -1206,10 +1204,9 @@ class PackedExplorer:
         for root in range(n):
             if index[root] != -1:
                 continue
-            a = adj_start[root]
             vstack = [root]
-            pstack = [a if a >= 0 else 0]
-            estack = [adj_end[root] if a >= 0 else 0]
+            pstack = [adj_start[root]]
+            estack = [adj_end[root]]
             index[root] = low[root] = counter
             counter += 1
             scc_stack.append(root)
@@ -1221,7 +1218,7 @@ class PackedExplorer:
                 advanced = False
                 lv = low[v]
                 while p < e:
-                    t = edge_tgt[p]
+                    t = edges[p] & tmask
                     p += 1
                     ti = index[t]
                     if ti == -1:
@@ -1230,14 +1227,9 @@ class PackedExplorer:
                         counter += 1
                         scc_stack.append(t)
                         onstk[t] = 1
-                        a = adj_start[t]
                         vstack.append(t)
-                        if a >= 0:
-                            pstack.append(a)
-                            estack.append(adj_end[t])
-                        else:
-                            pstack.append(0)
-                            estack.append(0)
+                        pstack.append(adj_start[t])
+                        estack.append(adj_end[t])
                         advanced = True
                         break
                     elif onstk[t] and ti < lv:
@@ -1276,49 +1268,61 @@ class PackedExplorer:
         caller needs that order to pick the same component the reference
         engine picks, and re-derives it when the fast path dropped it.
         """
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        states, _, adj_start, adj_end, edges, _ = graph
         n = len(states)
-        n_edges = len(edge_tgt)
-        if n_edges == 0:
+        if not edges:
             return [], True
         np = self._np
         if np is not None and self._sp is not None and n > 512:
-            coo_matrix, connected_components = self._sp
-            src = np.frombuffer(edge_src, dtype=np.int64)
-            tgt = np.frombuffer(edge_tgt, dtype=np.int64)
-            matrix = coo_matrix(
-                (np.ones(n_edges, dtype=np.int8), (src, tgt)), shape=(n, n)
-            )
-            _, labels = connected_components(
+            csr_matrix, connected_components = self._sp
+            # Number the matrix rows in expansion order, where the CSR
+            # ranges are consecutive: the edge array, its targets decoded
+            # and renumbered the same way, is then the column array of a
+            # scipy CSR matrix.  rank maps a state index to its row.
+            order, counts = self._expansion_order(graph)
+            rank = np.empty(n, dtype=np.int32 if n < 1 << 31 else np.int64)
+            rank[order] = np.arange(n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            cols = rank[np.frombuffer(edges, dtype=np.int64) & self._tmask]
+            ones = np.ones(len(edges), dtype=np.int8)
+            matrix = csr_matrix((ones, cols, indptr), shape=(n, n))
+            _, row_labels = connected_components(
                 matrix, directed=True, connection="strong"
             )
-            counts = np.bincount(labels)
-            keep = counts >= 2
+            labels = row_labels[rank]
+            keep = np.bincount(labels) >= 2
             if self._gsize > 1:
-                loop_labels = labels[np.asarray(src[src == tgt])]
-                keep[loop_labels] = True
+                rows = np.repeat(np.arange(n), counts)
+                keep[row_labels[rows[rows == cols]]] = True
             members = np.nonzero(keep[labels])[0]
             by_label: dict = {}
             label_arr = labels[members]
             for s, lab in zip(members.tolist(), label_arr.tolist()):
                 by_label.setdefault(lab, []).append(s)
             return list(by_label.values()), False
-        comps = self._sccs_csr(n, adj_start, adj_end, edge_tgt)
+        comps = self._sccs_csr(graph)
         if self._gsize == 1:
             return [c for c in comps if len(c) > 1], True
-        out = []
-        for comp in comps:
-            if len(comp) > 1:
-                out.append(comp)
-                continue
-            s = comp[0]
-            a = adj_start[s]
-            if a >= 0 and any(
-                edge_tgt[k] == s for k in range(a, adj_end[s])
-            ):
-                out.append(comp)
-        return out, True
+        tmask = self._tmask
+        return [
+            comp for comp in comps
+            if len(comp) > 1
+            or any(code & tmask == comp[0]
+                   for code in edges[adj_start[comp[0]]:adj_end[comp[0]]])
+        ], True
+
+    def _expansion_order(self, graph):
+        """numpy ``(order, counts)``: every state in expansion order
+        (unexpanded ones, edgeless, first) and its out-edge count.
+
+        Edge sources are not stored: the expanded states own
+        consecutive CSR ranges in expansion order, so
+        ``np.repeat(order, counts)`` is the source of every edge."""
+        np = self._np
+        starts = np.frombuffer(graph[2], dtype=np.int64)
+        order = np.argsort(starts)
+        return order, (np.frombuffer(graph[3], dtype=np.int64) - starts)[order]
 
     # ------------------------------------------------------------------
     # Fairness gates
@@ -1337,19 +1341,22 @@ class PackedExplorer:
         return mask
 
     def _collect_inner_masks(self, comp, members, graph):
-        """(serviced, dropped, delivered, full_nodes) over inner edges."""
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        """(serviced, dropped, delivered, full_nodes) over inner edges.
+
+        Trivial group only, so an edge label is its op uid."""
+        states, _, adj_start, adj_end, edges, _ = graph
         ops = self._ops
+        w, tmask = self._w, self._tmask
         serviced = dropped = delivered = full_nodes = 0
         np = self._np
         if np is not None and len(comp) >= 2048:
             memb = np.zeros(len(states), dtype=bool)
             memb[np.asarray(comp, dtype=np.int64)] = True
-            src = np.frombuffer(edge_src, dtype=np.int64)
-            tgt = np.frombuffer(edge_tgt, dtype=np.int64)
-            sel = memb[src] & memb[tgt]
-            uids = np.unique(np.frombuffer(edge_op, dtype=np.int64)[sel])
+            order, counts = self._expansion_order(graph)
+            codes = np.frombuffer(edges, dtype=np.int64)
+            inner = np.repeat(memb[order], counts)
+            inner &= memb[codes & tmask]
+            uids = np.unique(codes[inner] >> w)
             for uid in uids.tolist():
                 op = ops[uid]
                 serviced |= op.attempts_mask
@@ -1359,12 +1366,9 @@ class PackedExplorer:
                     full_nodes |= 1 << op.nid
             return serviced, dropped, delivered, full_nodes
         for s in comp:
-            a = adj_start[s]
-            if a < 0:
-                continue
-            for k in range(a, adj_end[s]):
-                if edge_tgt[k] in members:
-                    op = ops[edge_op[k]]
+            for code in edges[adj_start[s]:adj_end[s]]:
+                if code & tmask in members:
+                    op = ops[code >> w]
                     serviced |= op.attempts_mask
                     dropped |= op.dropped_mask
                     delivered |= op.delivered_mask
@@ -1418,11 +1422,7 @@ class PackedExplorer:
                 ):
                     return None
                 comps = [
-                    comp
-                    for comp in self._sccs_csr(
-                        len(graph[0]), graph[2], graph[3], graph[6]
-                    )
-                    if len(comp) > 1
+                    comp for comp in self._sccs_csr(graph) if len(comp) > 1
                 ]
             for comp in comps:
                 if self._plain_qualifies(comp, graph):
@@ -1439,22 +1439,21 @@ class PackedExplorer:
     # Witness construction (trivial group)
     # ------------------------------------------------------------------
     def _bfs_path(self, start, goal, members, graph):
-        """Entry/target steps start → goal inside ``members`` (CSR order)."""
+        """Entry/target steps start → goal inside ``members`` (CSR order).
+
+        Trivial group only, so an edge label is its op uid."""
         if start == goal:
             return []
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
-        queue = [start]
+        _, _, adj_start, adj_end, edges, _ = graph
+        w, tmask = self._w, self._tmask
+        queue = deque((start,))
         back: dict = {start: None}
         while queue:
-            current = queue.pop(0)
-            a = adj_start[current]
-            if a < 0:
-                continue
-            for k in range(a, adj_end[current]):
-                target = edge_tgt[k]
+            current = queue.popleft()
+            for code in edges[adj_start[current]:adj_end[current]]:
+                target = code & tmask
                 if target in members and target not in back:
-                    back[target] = (current, edge_op[k])
+                    back[target] = (current, code >> w)
                     if target == goal:
                         steps = []
                         cursor = goal
@@ -1469,14 +1468,13 @@ class PackedExplorer:
 
     def _prefix_uids(self, anchor, graph):
         """Parent-chain (uid, tau) pairs from the root down to anchor."""
-        parent_src = graph[8]
-        parent_op = graph[9]
-        parent_tau = graph[10]
+        parent = graph[5]
+        w, tmask = self._w, self._tmask
         chain = []
-        cursor = anchor
-        while parent_src[cursor] != -1:
-            chain.append((parent_op[cursor], parent_tau[cursor]))
-            cursor = parent_src[cursor]
+        code = parent[anchor]
+        while code != -1:
+            chain.append(divmod(code >> w, self._gsize))
+            code = parent[code & tmask]
         chain.reverse()
         return chain
 
@@ -1519,20 +1517,18 @@ class PackedExplorer:
         """Adjacency of the Ip–Dill product restricted to one quotient
         SCC: node (s, g) realizes σ_g(s); a quotient edge s →(op, τ) t
         lifts to (s, g) → (t, g·τ⁻¹) realized as σ_g(op)."""
-        states, totals, adj_start, adj_end, edge_src, edge_op, edge_tgt, \
-            edge_tau, parent_src, parent_op, parent_tau = graph
+        _, _, adj_start, adj_end, edges, _ = graph
         comp_tab = self._comp_tab
         inv_tab = self._inv_tab
         gsize = self._gsize
+        w, tmask = self._w, self._tmask
         tadj: dict = {}
         for s in comp:
-            a = adj_start[s]
             rows = []
-            if a >= 0:
-                for k in range(a, adj_end[s]):
-                    t = edge_tgt[k]
-                    if t in members:
-                        rows.append((t, edge_op[k], edge_tau[k]))
+            for code in edges[adj_start[s]:adj_end[s]]:
+                t = code & tmask
+                if t in members:
+                    rows.append((t, *divmod(code >> w, gsize)))
             for g in range(gsize):
                 row_g = comp_tab[g]
                 tadj[(s, g)] = [
@@ -1669,10 +1665,10 @@ class PackedExplorer:
     def _tbfs_path(self, start, goal, tset, tadj):
         if start == goal:
             return []
-        queue = [start]
+        queue = deque((start,))
         back: dict = {start: None}
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             for target, uid in tadj[current]:
                 if target in tset and target not in back:
                     back[target] = (current, uid)

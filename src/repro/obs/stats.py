@@ -39,6 +39,7 @@ KNOWN_PHASES = ("explore", "reduction", "cache", "worker", "serve", "campaign")
 PHASE_COUNTERS = (
     "explore.frontier_batches",
     "explore.orbits_merged",
+    "explore.edges",
     "explore.states_pruned",
     "explore.search_reused",
     "explore.plan_built",

@@ -260,6 +260,7 @@ class TestObservability:
         # twin's search; one table build serves all 24 explorers.
         assert rows["explore.search_reused (count)"] == "12"
         assert rows["explore.plan_built (count)"] == "1"
+        assert int(rows["explore.edges (count)"]) > 0
 
     def test_stats_json_merges_files(self, capsys, tmp_path):
         paths = []
