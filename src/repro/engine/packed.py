@@ -419,11 +419,15 @@ class PackedExplorer:
         self._menus: dict = {}
         self._chfx: dict = {}
         self._entry_ops: dict = {}
+        self._fold_ops: dict = {}
         self._emask_memo: dict = {}
         self._node_memo = tuple({} for _ in range(self._n_nodes))
         self._ec_memo: dict = {}
         self._pruned = 0
         self._orbits_merged = 0
+        # Memo misses of the current search: menus, node expansions and
+        # the parallel entries those expansions folded away.
+        self._built = [0, 0, 0]
         self._init_tau = 0
         self._omemo: dict = {}
         self._mask_img_memo: dict = {}
@@ -776,6 +780,7 @@ class PackedExplorer:
                 )
         menu = tuple(ops)
         self._menus[(nid, sig)] = menu
+        self._built[0] += 1
         return menu
 
     def _entry_count(self, word: int) -> int:
@@ -817,11 +822,15 @@ class PackedExplorer:
         ``key`` is ``word & node_mask[nid]``; every bit the expansion
         reads lives inside the mask, so the resulting
         ``(entries, n_locally_truncated)`` pair — where each entry is
-        ``(uid · |G| << W, word_delta, total_delta)`` in reference
+        ``(uid · |G| << W, word_delta, total_delta, mult)`` in reference
         enumeration order, the first field an edge code still missing its
         τ and target — is shared verbatim by every global state that
         agrees on the masked bits.  Only the message-total bound (which
         depends on the global total) is re-checked at the point of use.
+
+        Menu ops with the same deltas reach the same successor; they
+        fold into their first occurrence, labelled by one folded op
+        (:meth:`_folded_op`), and ``mult`` counts them for truncation.
         """
         fmask = self._fmask
         lmask = self._lmask
@@ -857,10 +866,9 @@ class PackedExplorer:
         pin = self._pin_factor[nid]
         gsize = self._gsize
         w = self._w
-        entries = []
+        groups: dict = {}
         nbad = 0
         for op in menu:
-            base = (op.uid * gsize) << w
             delta = 0
             best = no_choice
             for ci, j in op.choices:
@@ -875,7 +883,7 @@ class PackedExplorer:
             new_pi = rbp_n[best]
             takes = op.takes
             if new_pi == pi_r:
-                entries.append((base, delta, -takes))
+                groups.setdefault((delta, -takes), []).append(op)
                 continue
             delta += (new_pi - pi_r) * pin
             dtot = -takes
@@ -896,10 +904,40 @@ class PackedExplorer:
             if bad:
                 nbad += 1
                 continue
-            entries.append((base, delta, dtot))
+            groups.setdefault((delta, dtot), []).append(op)
+        entries = []
+        for (delta, dtot), ops in groups.items():
+            op = ops[0] if len(ops) == 1 else self._folded_op(tuple(ops))
+            entries.append(((op.uid * gsize) << w, delta, dtot, len(ops)))
         cached = (tuple(entries), nbad)
         self._node_memo[nid][key] = cached
+        built = self._built
+        built[1] += 1
+        built[2] += len(menu) - nbad - len(entries)
         return cached
+
+    def _folded_op(self, members: tuple) -> _PackedOp:
+        """Registry op labelling parallel menu entries (memoized).
+
+        The members share a node and a successor.  The folded op
+        replays the first member's entry, so witnesses keep their
+        activation, and carries the OR of the members' fairness masks,
+        which is what the fairness pass takes over their parallel edges.
+        """
+        key = tuple(op.uid for op in members)
+        op = self._fold_ops.get(key)
+        if op is None:
+            first = members[0]
+            op = self._register_op(first.nid, first.entry[1], first.choices,
+                                   first.unread, {})
+            op.takes = first.takes
+            op.full_flag = any(m.full_flag for m in members)
+            for m in members:
+                op.attempts_mask |= m.attempts_mask
+                op.dropped_mask |= m.dropped_mask
+                op.delivered_mask |= m.delivered_mask
+            self._fold_ops[key] = op
+        return op
 
     # ------------------------------------------------------------------
     # Forced/rare successors
@@ -996,6 +1034,7 @@ class PackedExplorer:
         search_start = time.perf_counter()
         self._pruned = 0
         self._orbits_merged = 0
+        self._built = built = [0, 0, 0]
         batches = 0
 
         codec = self.codec
@@ -1052,6 +1091,9 @@ class PackedExplorer:
             tel.count("explore.frontier_batches", batches)
             tel.count("explore.orbits_merged", self._orbits_merged)
             tel.count("explore.edges", len(edges))
+            tel.count("explore.menus_built", built[0])
+            tel.count("explore.expansions_built", built[1])
+            tel.count("explore.entries_folded", built[2])
             return ExplorationResult(
                 model_name=self.model.name,
                 instance_name=self.instance.name,
@@ -1123,10 +1165,10 @@ class PackedExplorer:
                     # Inline twin of the emission loop above — one
                     # function/tuple round-trip per successor matters
                     # here (this is the engine's innermost loop).
-                    for base, delta, dtot in entries:
+                    for base, delta, dtot, mult in entries:
                         t2 = tcur + dtot
                         if t2 > total_bound:
-                            truncated += 1
+                            truncated += mult
                             continue
                         succ = word + delta
                         if gsize > 1:
@@ -1139,7 +1181,7 @@ class PackedExplorer:
                         if idx is None:
                             if n_states >= max_states:
                                 overflow = True
-                                truncated += 1
+                                truncated += mult
                                 continue
                             idx = n_states
                             n_states += 1

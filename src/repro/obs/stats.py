@@ -40,6 +40,9 @@ PHASE_COUNTERS = (
     "explore.frontier_batches",
     "explore.orbits_merged",
     "explore.edges",
+    "explore.menus_built",
+    "explore.expansions_built",
+    "explore.entries_folded",
     "explore.states_pruned",
     "explore.search_reused",
     "explore.plan_built",

@@ -22,6 +22,8 @@ import pytest
 from repro import obs
 from repro.core import instances as gadgets
 from repro.core.generators import random_instance
+from repro.engine.compiled import apply_packed
+from repro.engine.explorer import Explorer
 from repro.engine.packed import PackedExplorer
 from repro.models.taxonomy import ALL_MODELS, model
 
@@ -169,7 +171,10 @@ def test_sources_derived_from_the_csr_ranges(name, symmetry):
 
 def reexpand(explorer, graph, s):
     """State s's successors as ``(uid, tau, target)``, in the order the
-    search emits them, rebuilt from the memoized expansion helpers."""
+    search emits them, rebuilt from the memoized expansion helpers.
+
+    A menu entry is ``(base, delta, dtot, mult)``: parallel ops already
+    folded into one entry, so each entry is one edge."""
     states, totals, _, _, _, _ = graph
     index_of = {word: i for i, word in enumerate(states)}
     gsize = explorer._gsize
@@ -198,7 +203,7 @@ def reexpand(explorer, graph, s):
             continue
         key = word & explorer._node_mask[nid]
         entries, _ = explorer._node_entries(nid, key)
-        for base, delta, dtot in entries:
+        for base, delta, dtot, _mult in entries:
             if totals[s] + dtot <= explorer._total_bound:
                 emit((base >> explorer._w) // gsize, word + delta)
     return out
@@ -222,6 +227,97 @@ def test_each_range_is_the_reexpanded_successors_in_order(name, symmetry):
             source = code & explorer._tmask
             uid, tau = divmod(code >> explorer._w, explorer._gsize)
             assert (uid, tau, child) in decode_edges(explorer, graph, source)
+
+
+def members_of(explorer):
+    """Folded op uid -> the uids of the menu ops it stands for."""
+    return {op.uid: key for key, op in explorer._fold_ops.items()}
+
+
+@pytest.mark.parametrize("symmetry", ["none", "orbit"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_each_edge_is_one_successor_of_all_its_members(name, symmetry):
+    """An edge's op, or each op folded into it, steps the decoded state
+    through ``apply_packed`` to the edge's target and τ, and no range
+    holds two edges from one node's menu to the same (τ, target)."""
+    folded = 0
+    for m in MODELS:
+        explorer, _, graph = search(INSTANCES[name](), m, symmetry=symmetry)
+        states, _, adj_start, _, _, _ = graph
+        members = members_of(explorer)
+        ops = explorer._ops
+        for s in range(len(states)):
+            if adj_start[s] < 0:
+                continue
+            packed = explorer._decode(states[s])
+            edges = decode_edges(explorer, graph, s)
+            for uid, tau, target in edges:
+                for member in members.get(uid, (uid,)):
+                    succ = explorer._encode(explorer._canonical(apply_packed(
+                        explorer.codec, packed, *ops[member].entry
+                    )))
+                    if explorer._gsize > 1:
+                        succ = explorer._orbit_min(succ)
+                    else:
+                        succ = (succ, 0)
+                    assert succ == (states[target], tau), (m.name, s, uid)
+            heads = [(ops[uid].nid, tau, target) for uid, tau, target in edges]
+            assert len(heads) == len(set(heads)), (m.name, s)
+        folded += len(members)
+    assert folded  # the unreliable models fold some entries
+
+
+def test_a_folded_op_ors_its_members_masks():
+    explorer, _, _ = search(gadgets.fig7_gadget(), model("UES"),
+                            symmetry="none", max_states=20_000)
+    assert explorer._fold_ops
+    widened = 0
+    for key, op in explorer._fold_ops.items():
+        assert len(key) >= 2
+        ops = [explorer._ops[uid] for uid in key]
+        first = ops[0]
+        assert op.entry == first.entry
+        assert op.nid == first.nid and {o.nid for o in ops} == {op.nid}
+        attempts = dropped = delivered = 0
+        for o in ops:
+            attempts |= o.attempts_mask
+            dropped |= o.dropped_mask
+            delivered |= o.delivered_mask
+        assert (op.attempts_mask, op.dropped_mask, op.delivered_mask) == \
+            (attempts, dropped, delivered)
+        assert op.full_flag == any(o.full_flag for o in ops)
+        widened += (dropped, delivered) != \
+            (first.dropped_mask, first.delivered_mask)
+    # Some fold unions masks its first member lacks.
+    assert widened
+
+
+#: The reference engine's (states, truncated_states) on Fig. 7 at
+#: queue bound 2 with a 200k-state budget.  Only the queue bound
+#: truncates there; the reference search takes minutes, so its figures
+#: are pinned (rerun ``Explorer(..., engine="reference")`` to check).
+REFERENCE_FIG7_QB2 = {"RES": (13_040, 3_915), "UES": (41_973, 6_660)}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_FIG7_QB2))
+def test_truncation_counts_every_folded_entry(name):
+    """A folded entry the state budget drops counts ``mult`` times.
+
+    At 300 states the state budget and the queue bound both truncate,
+    and the reference engine runs live; at 200k only the queue bound
+    does."""
+    packed = PackedExplorer(gadgets.fig7_gadget(), model(name),
+                            queue_bound=2, max_states=300,
+                            symmetry="none").explore()
+    reference = Explorer(gadgets.fig7_gadget(), model(name), queue_bound=2,
+                         max_states=300, engine="reference").explore()
+    assert packed.truncated_states == reference.truncated_states
+    assert packed.states_explored == reference.states_explored == 300
+    packed = PackedExplorer(gadgets.fig7_gadget(), model(name),
+                            queue_bound=2, max_states=200_000,
+                            symmetry="none").explore()
+    assert (packed.states_explored, packed.truncated_states) == \
+        REFERENCE_FIG7_QB2[name]
 
 
 SCREEN_CASES = [
@@ -285,3 +381,22 @@ def test_edges_counter_is_the_stored_edge_count(symmetry):
     finally:
         obs.install(previous)
     assert telemetry.counters["explore.edges"] == len(graph[4]) > 0
+
+
+@pytest.mark.parametrize("symmetry", ["none", "orbit"])
+def test_build_counters_count_memo_misses(symmetry):
+    telemetry = obs.Telemetry()
+    previous = obs.install(telemetry)
+    try:
+        explorer, _, _ = search(gadgets.disagree_grid(2), model("UES"),
+                                symmetry=symmetry)
+    finally:
+        obs.install(previous)
+    counters = telemetry.counters
+    expansions = [entry for memo in explorer._node_memo
+                  for entry in memo.values()]
+    assert counters["explore.menus_built"] == len(explorer._menus) > 0
+    assert counters["explore.expansions_built"] == len(expansions)
+    assert counters["explore.entries_folded"] == sum(
+        mult - 1 for entries, _ in expansions for *_, mult in entries
+    ) > 0

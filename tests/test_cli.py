@@ -261,6 +261,9 @@ class TestObservability:
         assert rows["explore.search_reused (count)"] == "12"
         assert rows["explore.plan_built (count)"] == "1"
         assert int(rows["explore.edges (count)"]) > 0
+        assert int(rows["explore.menus_built (count)"]) > 0
+        assert int(rows["explore.expansions_built (count)"]) > 0
+        assert int(rows["explore.entries_folded (count)"]) > 0
 
     def test_stats_json_merges_files(self, capsys, tmp_path):
         paths = []
